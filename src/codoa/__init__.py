@@ -9,7 +9,6 @@ from codoa.engine import (
     AlgorithmParams,
     ConfigurationError,
     ObjectiveProblem,
-    Particle,
     RunResult,
     SwarmState,
     initialize,
@@ -39,7 +38,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "ObjectiveProblem",
-    "Particle",
     "REGISTRY",
     "RandomStream",
     "RunResult",

@@ -3,7 +3,8 @@
 Seven classic single-objective test functions: five fixed two-dimensional
 surfaces plus the dimension-polymorphic sphere and rosenbrock.  The raw
 functions are pure math and evaluate anywhere; box-domain enforcement is
-the engine's job.
+the engine's job.  Each registered evaluator carries a ``batch`` form for
+(k, d) points, equal bit for bit to evaluating each row.
 """
 
 from __future__ import annotations
@@ -52,26 +53,40 @@ def three_hump_camel(x: float, y: float) -> float:
     return 2.0 * x * x - 1.05 * x**4 + x**6 / 6.0 + x * y + y * y
 
 
+def _sphere_rows(x: np.ndarray) -> np.ndarray:
+    if x.shape[-1] < 1:
+        raise ValueError("sphere needs at least one coordinate")
+    return np.square(x).sum(axis=-1)
+
+
+def _rosenbrock_rows(x: np.ndarray) -> np.ndarray:
+    if x.shape[-1] < 2:
+        raise ValueError("rosenbrock needs at least two coordinates")
+    head, tail = x[..., :-1], x[..., 1:]
+    return (100.0 * (tail - head**2) ** 2 + (head - 1.0) ** 2).sum(axis=-1)
+
+
 def sphere(x) -> float:
     """Sum of squares; minimum 0 at the origin, any dimension >= 1."""
-    x = np.asarray(x, dtype=float)
-    if x.size < 1:
-        raise ValueError("sphere needs at least one coordinate")
-    return float(np.square(x).sum())
+    return float(_sphere_rows(np.asarray(x, dtype=float).ravel()))
 
 
 def rosenbrock(x) -> float:
     """Banana-shaped valley; minimum 0 at all-ones, any dimension >= 2."""
-    x = np.asarray(x, dtype=float)
-    if x.size < 2:
-        raise ValueError("rosenbrock needs at least two coordinates")
-    return float((100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2).sum())
+    return float(_rosenbrock_rows(np.asarray(x, dtype=float).ravel()))
+
+
+sphere.batch = _sphere_rows
+rosenbrock.batch = _rosenbrock_rows
 
 
 def _pair(f: Callable[[float, float], float]) -> Callable[[np.ndarray], float]:
     def evaluator(pos: np.ndarray) -> float:
         return float(f(float(pos[0]), float(pos[1])))
 
+    # Python floats, not numpy: their ``**`` calls the C library's ``pow``,
+    # which numpy's power does not match in the last bit.
+    evaluator.batch = lambda points: np.array([f(x, y) for x, y in points.tolist()])
     return evaluator
 
 

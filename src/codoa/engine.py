@@ -7,12 +7,22 @@ counter ``ex``.  Each iteration applies a fixed sequence of phases that grow,
 decay, and redistribute interactivity while particles drift toward the
 archived global best.  Minimization only; maximize by negating the objective
 (see :func:`maximization_problem`).
+
+The swarm is held as arrays with a row per particle (see :class:`SwarmState`),
+and each phase is a few masked array expressions.  Random factors are drawn
+in particle order, one ``draw(k)`` per step that needs ``k`` of them.
+
+``problem.evaluator`` maps one point to its fitness.  It may carry a
+``batch`` attribute mapping a (k, d) array to k fitnesses: the same values,
+bit for bit, as calling the evaluator on each row, or else leave it off.
+Without it, stale rows are evaluated one by one, in index order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,6 +61,16 @@ class AlgorithmParams:
     per_dimension_rand: bool = True
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
+                object.__setattr__(self, f.name, int(value))
+            elif f.type == "float" and not (
+                isinstance(value, numbers.Real) and math.isfinite(value)
+            ):
+                raise ConfigurationError(f"{f.name} must be a finite number, got {value!r}")
         if self.num_particles < 2:
             raise ConfigurationError(
                 f"num_particles must be at least 2, got {self.num_particles}"
@@ -72,17 +92,6 @@ class AlgorithmParams:
             )
 
 
-@dataclass(eq=False)
-class Particle:
-    """One swarm member; ``fitness`` is trusted only while ``fitness_valid``."""
-
-    position: np.ndarray
-    fitness: float
-    ir: float
-    ex: int
-    fitness_valid: bool = True
-
-
 @dataclass(frozen=True, eq=False)
 class ObjectiveProblem:
     """Box-constrained minimization target."""
@@ -101,11 +110,13 @@ class ObjectiveProblem:
         upper = np.asarray(self.upper_bounds, dtype=float)
         object.__setattr__(self, "lower_bounds", lower)
         object.__setattr__(self, "upper_bounds", upper)
-        if lower.shape != (self.dimension,) or upper.shape != (self.dimension,):
-            raise ConfigurationError(
-                f"bounds must both have shape ({self.dimension},), got "
-                f"{lower.shape} and {upper.shape}"
-            )
+        for name, bounds in (("lower_bounds", lower), ("upper_bounds", upper)):
+            if bounds.shape != (self.dimension,):
+                raise ConfigurationError(
+                    f"{name} must have shape ({self.dimension},), got {bounds.shape}"
+                )
+            if not np.all(np.isfinite(bounds)):
+                raise ConfigurationError(f"{name} must be finite, got {bounds.tolist()}")
         if not np.all(lower < upper):
             raise ConfigurationError("lower_bounds must be strictly below upper_bounds")
         if self.known_minimizer is not None:
@@ -139,9 +150,16 @@ def maximization_problem(
 
 @dataclass(eq=False)
 class SwarmState:
-    """Mutable state of one run: the swarm, the best-so-far archive, counters."""
+    """One run: swarm arrays (row i is particle i), best-so-far archive, counters.
 
-    particles: list[Particle]
+    ``fit[i]`` is trusted only while ``stale[i]`` is False.
+    """
+
+    pos: np.ndarray
+    fit: np.ndarray
+    ir: np.ndarray
+    ex: np.ndarray
+    stale: np.ndarray
     rng: RandomStream
     global_best_position: Optional[np.ndarray] = None
     global_best_fitness: float = math.inf
@@ -163,19 +181,9 @@ class RunResult:
     params: AlgorithmParams
 
 
-def clamp_ir(value: float, params: AlgorithmParams) -> float:
-    """Clamp an interactivity rate into [ir_floor, max_ir]."""
-    return min(max(value, params.ir_floor), params.max_ir)
-
-
-def clamp_position(pos, problem: ObjectiveProblem) -> np.ndarray:
-    """Clamp each coordinate into the problem's box bounds."""
-    pos = np.asarray(pos, dtype=float)
-    if pos.shape != (problem.dimension,):
-        raise ValueError(
-            f"position has shape {pos.shape}, problem dimension is {problem.dimension}"
-        )
-    return np.minimum(np.maximum(pos, problem.lower_bounds), problem.upper_bounds)
+def clamp_ir(values, params: AlgorithmParams):
+    """Clamp interactivity rates into [ir_floor, max_ir], elementwise."""
+    return np.minimum(np.maximum(values, params.ir_floor), params.max_ir)
 
 
 def reward_best(state: SwarmState, params: AlgorithmParams) -> None:
@@ -184,18 +192,13 @@ def reward_best(state: SwarmState, params: AlgorithmParams) -> None:
     Ties break to the lowest index.  The global-best archive (and with it the
     best-holder index) moves only on strict improvement.
     """
-    particles = state.particles
-    best_i = 0
-    best_f = particles[0].fitness
-    for i in range(1, len(particles)):
-        f = particles[i].fitness
-        if f < best_f:
-            best_i, best_f = i, f
-    p = particles[best_i]
-    p.ir = clamp_ir(p.ir + state.rng.next() * p.ir, params)
-    p.ex += 1
+    best_i = int(np.argmin(state.fit))
+    best_f = float(state.fit[best_i])
+    ir = state.ir
+    ir[best_i] = clamp_ir(ir[best_i] + state.rng.next() * ir[best_i], params)
+    state.ex[best_i] += 1
     if state.best_holder_index is None or best_f < state.global_best_fitness:
-        state.global_best_position = p.position.copy()
+        state.global_best_position = state.pos[best_i].copy()
         state.global_best_fitness = best_f
         state.best_holder_index = best_i
 
@@ -207,69 +210,56 @@ def socialization(state: SwarmState, params: AlgorithmParams) -> None:
     it gain one and receive an interactivity boost with a fresh random factor
     each.
     """
-    particles = state.particles
-    fitnesses = [p.fitness for p in particles]
-    mean = math.fsum(fitnesses) / len(fitnesses)
-    below = [p for p in particles if p.fitness < mean]
-    draws = state.rng.draw(len(below))
-    for p in particles:
-        if p.fitness >= mean:
-            p.ex -= 1
-        else:
-            p.ex += 1
-    for p, u in zip(below, draws):
-        p.ir = clamp_ir(p.ir + u * p.ir, params)
+    mean = math.fsum(state.fit.tolist()) / len(state.fit)
+    below = state.fit < mean
+    state.ex += np.where(below, 1, -1)
+    ir = state.ir[below]
+    state.ir[below] = clamp_ir(ir + state.rng.draw(len(ir)) * ir, params)
 
 
 def decay_all_ir(state: SwarmState, params: AlgorithmParams) -> None:
     """Multiplicatively decay every particle's interactivity."""
-    draws = state.rng.draw(len(state.particles))
-    for p, u in zip(state.particles, draws):
-        p.ir = clamp_ir(u * p.ir, params)
+    state.ir = clamp_ir(state.rng.draw(len(state.ir)) * state.ir, params)
 
 
 def move_toward_best(
     state: SwarmState,
     params: AlgorithmParams,
     problem: ObjectiveProblem,
-    selector: Callable[[int, Particle], bool],
+    selected: np.ndarray,
 ) -> None:
-    """Pull every selected particle toward the archived best position.
+    """Pull the particles in the boolean mask ``selected`` toward the archived best.
 
     Each coordinate steps a random fraction of ``ir`` times the remaining
     gap, so steps overshoot the target when ``ir`` exceeds 1.  Moved
-    particles are clamped to the box and their fitness caches invalidated.
+    particles are clamped to the box and their fitnesses marked stale.
     """
-    selected = [p for i, p in enumerate(state.particles) if selector(i, p)]
-    if not selected:
+    positions = state.pos[selected]
+    k = len(positions)
+    if not k:
         return
-    g = state.global_best_position
-    k, d = len(selected), problem.dimension
-    positions = np.array([p.position for p in selected])
-    irs = np.array([p.ir for p in selected])
-    if params.per_dimension_rand:
-        u = state.rng.draw(k * d).reshape(k, d)
-    else:
-        u = state.rng.draw(k).reshape(k, 1)
-    moved = positions + u * (irs[:, None] * (g - positions))
+    irs = state.ir[selected]
+    cols = problem.dimension if params.per_dimension_rand else 1
+    u = state.rng.draw(k * cols).reshape(k, cols)
+    moved = positions + u * (irs[:, None] * (state.global_best_position - positions))
     np.clip(moved, problem.lower_bounds, problem.upper_bounds, out=moved)
-    for j, p in enumerate(selected):
-        p.position = moved[j]
-        p.fitness_valid = False
+    state.pos[selected] = moved
+    state.stale |= selected
 
 
 def evaluate_swarm(state: SwarmState, problem: ObjectiveProblem) -> None:
-    """Refresh stale fitness caches; non-finite objective values become +inf."""
-    evaluator = problem.evaluator
-    n = 0
-    for p in state.particles:
-        if p.fitness_valid:
-            continue
-        value = float(evaluator(p.position))
-        p.fitness = value if math.isfinite(value) else math.inf
-        p.fitness_valid = True
-        n += 1
-    state.eval_count += n
+    """Refresh stale fitnesses in one batch call if the evaluator has one; non-finite -> +inf."""
+    rows = np.flatnonzero(state.stale)
+    if not len(rows):
+        return
+    batch = getattr(problem.evaluator, "batch", None)
+    if batch is None:
+        values = np.array([float(problem.evaluator(x)) for x in state.pos[rows]])
+    else:
+        values = np.asarray(batch(state.pos[rows]), dtype=float)
+    state.fit[rows] = np.where(np.isfinite(values), values, math.inf)
+    state.stale[rows] = False
+    state.eval_count += len(rows)
 
 
 def maturation(state: SwarmState, params: AlgorithmParams) -> None:
@@ -278,10 +268,9 @@ def maturation(state: SwarmState, params: AlgorithmParams) -> None:
     Positions do not change here, so cached fitnesses stay valid and no
     re-evaluation is needed.
     """
-    ml = params.maturity_limit
-    for p in state.particles:
-        if p.ex <= ml:
-            p.ir = clamp_ir(p.ir + state.rng.next() * p.ir, params)
+    low = state.ex <= params.maturity_limit
+    ir = state.ir[low]
+    state.ir[low] = clamp_ir(ir + state.rng.draw(len(ir)) * ir, params)
     reward_best(state, params)
 
 
@@ -293,16 +282,15 @@ def rationalizing(state: SwarmState, params: AlgorithmParams, problem: Objective
     Negative-experience particles get one boost and a move toward the best;
     the rest get the boost ``rationality_rate`` times.
     """
-    b = state.particles[state.best_holder_index].ir
-    for p in state.particles:
-        if p.ex < 0:
-            p.ir = clamp_ir(p.ir + state.rng.next() * (b / p.ir), params)
-    move_toward_best(state, params, problem, lambda i, p: p.ex < 0)
-    positive = [p for p in state.particles if p.ex >= 0]
+    b = state.ir[state.best_holder_index]
+    negative = state.ex < 0
+    ir = state.ir[negative]
+    state.ir[negative] = clamp_ir(ir + state.rng.draw(len(ir)) * (b / ir), params)
+    move_toward_best(state, params, problem, negative)
+    positive = ~negative
     for _ in range(params.rationality_rate):
-        draws = state.rng.draw(len(positive))
-        for p, u in zip(positive, draws):
-            p.ir = clamp_ir(p.ir + u * (b / p.ir), params)
+        ir = state.ir[positive]
+        state.ir[positive] = clamp_ir(ir + state.rng.draw(len(ir)) * (b / ir), params)
 
 
 def balancing(state: SwarmState, params: AlgorithmParams, problem: ObjectiveProblem) -> None:
@@ -315,19 +303,17 @@ def balancing(state: SwarmState, params: AlgorithmParams, problem: ObjectiveProb
 def initialize(params: AlgorithmParams, problem: ObjectiveProblem, seed: int) -> SwarmState:
     """Scatter particles uniformly in the box, evaluate them, reward the best."""
     rng = RandomStream(seed)
+    n, d = params.num_particles, problem.dimension
     lower = problem.lower_bounds
     span = problem.upper_bounds - lower
-    particles = [
-        Particle(
-            position=lower + rng.draw(problem.dimension) * span,
-            fitness=math.inf,
-            ir=params.initial_ir,
-            ex=params.initial_ex,
-            fitness_valid=False,
-        )
-        for _ in range(params.num_particles)
-    ]
-    state = SwarmState(particles=particles, rng=rng)
+    state = SwarmState(
+        pos=lower + rng.draw(n * d).reshape(n, d) * span,
+        fit=np.full(n, math.inf),
+        ir=np.full(n, float(params.initial_ir)),
+        ex=np.full(n, params.initial_ex, dtype=np.int64),
+        stale=np.ones(n, dtype=bool),
+        rng=rng,
+    )
     evaluate_swarm(state, problem)
     reward_best(state, params)
     return state
@@ -341,8 +327,8 @@ def iterate(state: SwarmState, params: AlgorithmParams, problem: ObjectiveProble
     """
     socialization(state, params)
     decay_all_ir(state, params)
-    holder = state.best_holder_index
-    move_toward_best(state, params, problem, lambda i, p: i != holder)
+    others = np.arange(len(state.fit)) != state.best_holder_index
+    move_toward_best(state, params, problem, others)
     evaluate_swarm(state, problem)
     reward_best(state, params)
     maturation(state, params)
@@ -359,7 +345,7 @@ def run(params: AlgorithmParams, problem: ObjectiveProblem, seed: int) -> RunRes
         iterate(state, params, problem)
     return RunResult(
         best_fitness=state.global_best_fitness,
-        best_position=tuple(float(v) for v in state.global_best_position),
+        best_position=tuple(state.global_best_position.tolist()),
         best_per_iteration=tuple(state.history),
         eval_count=state.eval_count,
         seed=seed,

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from codoa.engine import ObjectiveProblem, Particle, SwarmState
+from codoa.engine import ObjectiveProblem, SwarmState
 
 
 class PinnedStream:
@@ -52,34 +52,40 @@ def make_state(fitness, ir=None, ex=None, positions=None, rng=None,
                gbest_pos=None, gbest_fit=None, holder=None) -> SwarmState:
     """Assemble a SwarmState by hand for phase-level tests.
 
-    Unless given explicitly, the archive is derived from the fittest
-    particle, matching the state right after an initialize.
+    Every fitness starts valid (nothing stale).  Unless given explicitly,
+    the archive is derived from the fittest particle, matching the state
+    right after an initialize.
     """
     n = len(fitness)
     ir = [0.5] * n if ir is None else ir
     ex = [0] * n if ex is None else ex
     if positions is None:
         positions = [np.zeros(2) for _ in range(n)]
-    particles = [
-        Particle(
-            position=np.asarray(p, dtype=float),
-            fitness=float(f),
-            ir=float(r),
-            ex=int(e),
-        )
-        for p, f, r, e in zip(positions, fitness, ir, ex)
-    ]
-    state = SwarmState(particles=particles, rng=rng if rng is not None else PinnedStream(0.5))
+    state = SwarmState(
+        pos=np.array(positions, dtype=float),
+        fit=np.array(fitness, dtype=float),
+        ir=np.array(ir, dtype=float),
+        ex=np.array(ex, dtype=np.int64),
+        stale=np.zeros(n, dtype=bool),
+        rng=rng if rng is not None else PinnedStream(0.5),
+    )
     if gbest_fit is None:
-        best = min(range(n), key=lambda j: particles[j].fitness)
-        state.global_best_fitness = particles[best].fitness
-        state.global_best_position = particles[best].position.copy()
+        best = min(range(n), key=lambda j: state.fit[j])
+        state.global_best_fitness = float(state.fit[best])
+        state.global_best_position = state.pos[best].copy()
         state.best_holder_index = best if holder is None else holder
     else:
         state.global_best_fitness = float(gbest_fit)
         state.global_best_position = np.asarray(gbest_pos, dtype=float)
         state.best_holder_index = 0 if holder is None else holder
     return state
+
+
+def mask(n, *indices) -> np.ndarray:
+    """Boolean particle mask of length ``n`` selecting ``indices``."""
+    selected = np.zeros(n, dtype=bool)
+    selected[list(indices)] = True
+    return selected
 
 
 def sphere_loop(xs) -> float:
@@ -115,17 +121,16 @@ def naive_sample_stdev(xs) -> float:
 
 def assert_ir_and_bounds(state, params, problem) -> None:
     """Interactivity within [floor, max]; every coordinate inside the box."""
-    for p in state.particles:
-        assert params.ir_floor <= p.ir <= params.max_ir, f"ir out of bounds: {p.ir}"
-        assert np.all(p.position >= problem.lower_bounds), "position under lower bound"
-        assert np.all(p.position <= problem.upper_bounds), "position over upper bound"
+    assert np.all(state.ir >= params.ir_floor), f"ir under the floor: {state.ir.min()}"
+    assert np.all(state.ir <= params.max_ir), f"ir over the maximum: {state.ir.max()}"
+    assert np.all(state.pos >= problem.lower_bounds), "position under lower bound"
+    assert np.all(state.pos <= problem.upper_bounds), "position over upper bound"
 
 
 def assert_iteration_boundary(state, params, problem) -> None:
     """Full invariant set that must hold between iterations."""
     assert_ir_and_bounds(state, params, problem)
-    assert all(p.fitness_valid for p in state.particles), "stale cache at boundary"
-    fits = [p.fitness for p in state.particles]
-    assert state.global_best_fitness <= min(fits), "archive above swarm minimum"
+    assert not state.stale.any(), "stale cache at boundary"
+    assert state.global_best_fitness <= state.fit.min(), "archive above swarm minimum"
     value = float(problem.evaluator(state.global_best_position))
     assert abs(state.global_best_fitness - value) <= 1e-12, "archive fitness mismatch"

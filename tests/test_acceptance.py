@@ -42,6 +42,7 @@ from support import (
     assert_iteration_boundary,
     box_problem,
     make_state,
+    mask,
 )
 
 
@@ -160,19 +161,18 @@ class TestInvariantSuite:
 
             # op-level conservation laws on the final (cache-valid) state
             snapshot = copy.deepcopy(state)
-            mean = math.fsum(p.fitness for p in snapshot.particles) / len(
-                snapshot.particles)
-            expected_gain = sum(1 for p in snapshot.particles if p.fitness < mean)
-            before_ex = [p.ex for p in snapshot.particles]
+            mean = math.fsum(snapshot.fit.tolist()) / len(snapshot.fit)
+            expected_gain = sum(1 for f in snapshot.fit if f < mean)
+            before_ex = snapshot.ex.tolist()
             socialization(snapshot, params)
-            deltas = [p.ex - b for p, b in zip(snapshot.particles, before_ex)]
+            deltas = [e - b for e, b in zip(snapshot.ex.tolist(), before_ex)]
             assert deltas.count(1) == expected_gain
             assert deltas.count(-1) == len(deltas) - expected_gain
 
             snapshot = copy.deepcopy(state)
-            before_ex = [p.ex for p in snapshot.particles]
+            before_ex = snapshot.ex.tolist()
             reward_best(snapshot, params)
-            deltas = [p.ex - b for p, b in zip(snapshot.particles, before_ex)]
+            deltas = [e - b for e, b in zip(snapshot.ex.tolist(), before_ex)]
             assert sorted(deltas) == [0] * (len(deltas) - 1) + [1]
             runs_checked += 1
         _report(7, True, f"invariant suite over {runs_checked} randomized short "
@@ -209,41 +209,41 @@ class TestPinnedEquationChecks:
         state = make_state(fitness=[3.0, 1.0, 5.0], ir=[0.4] * 3,
                            rng=PinnedStream(0.5))
         reward_best(state, params)
-        checks.append(math.isclose(state.particles[1].ir, 0.6))
-        checks.append(state.particles[1].ex == 1)
+        checks.append(math.isclose(state.ir[1], 0.6))
+        checks.append(state.ex[1] == 1)
 
         # socialization: below-mean gains experience and interactivity
         state = make_state(fitness=[1.0, 3.0], ir=[0.5, 0.5],
                            rng=PinnedStream(0.5))
         socialization(state, params)
-        checks.append([p.ex for p in state.particles] == [1, -1])
-        checks.append(math.isclose(state.particles[0].ir, 0.75))
-        checks.append(state.particles[1].ir == 0.5)
+        checks.append(state.ex.tolist() == [1, -1])
+        checks.append(math.isclose(state.ir[0], 0.75))
+        checks.append(state.ir[1] == 0.5)
 
         # decay: halve, and a zero draw pins to the floor
         state = make_state(fitness=[1.0, 2.0], ir=[0.4, 0.4],
                            rng=PinnedStream(0.5))
         decay_all_ir(state, params)
-        checks.append(math.isclose(state.particles[0].ir, 0.2))
+        checks.append(math.isclose(state.ir[0], 0.2))
         state = make_state(fitness=[1.0, 2.0], ir=[0.4, 0.4],
                            rng=PinnedStream(0.0))
         decay_all_ir(state, params)
-        checks.append(state.particles[0].ir == params.ir_floor)
+        checks.append(state.ir[0] == params.ir_floor)
 
         # move: half a scaled gap of 2 with ir 0.5 advances 0.5
         problem = box_problem([-10.0], [10.0])
         state = make_state(fitness=[5.0, 0.0], ir=[0.5, 0.5],
                            positions=[[1.0], [3.0]], rng=PinnedStream(0.5))
-        move_toward_best(state, params, problem, lambda i, p: i == 0)
-        checks.append(math.isclose(state.particles[0].position[0], 1.5))
+        move_toward_best(state, params, problem, mask(2, 0))
+        checks.append(math.isclose(state.pos[0, 0], 1.5))
 
         # maturation: only experience <= limit is boosted before the reward
         state = make_state(fitness=[5.0, 4.0, 3.0], ir=[1.0] * 3, ex=[4, 3, -1],
                            rng=PinnedStream(0.5))
         maturation(state, AlgorithmParams(maturity_limit=3))
-        checks.append(state.particles[0].ir == 1.0)
-        checks.append(math.isclose(state.particles[1].ir, 1.5))
-        checks.append(math.isclose(state.particles[2].ir, 2.25))
+        checks.append(state.ir[0] == 1.0)
+        checks.append(math.isclose(state.ir[1], 1.5))
+        checks.append(math.isclose(state.ir[2], 2.25))
 
         # rationalizing: ratio boost, and repeats keep the phase-start reference
         problem = box_problem([-10.0, -10.0], [10.0, 10.0])
@@ -252,12 +252,12 @@ class TestPinnedEquationChecks:
                            gbest_pos=[0.0, 0.0], gbest_fit=1.0, holder=1,
                            rng=PinnedStream(0.5))
         rationalizing(state, AlgorithmParams(rationality_rate=0), problem)
-        checks.append(math.isclose(state.particles[0].ir, 2.5))
+        checks.append(math.isclose(state.ir[0], 2.5))
         state = make_state(fitness=[1.0, 2.0], ir=[1.0, 1.0], ex=[0, 0],
                            gbest_pos=[0.0, 0.0], gbest_fit=1.0, holder=0,
                            rng=PinnedStream(1.0))
         rationalizing(state, AlgorithmParams(rationality_rate=2), problem)
-        checks.append(math.isclose(state.particles[0].ir, 2.5))
+        checks.append(math.isclose(state.ir[0], 2.5))
 
         # zero draws: growth rules hold interactivity, moves hold positions
         state = make_state(fitness=[1.0, 3.0], ir=[0.7, 0.7], ex=[0, 0],
@@ -266,10 +266,10 @@ class TestPinnedEquationChecks:
         reward_best(state, params)
         socialization(state, params)
         maturation(state, params)
-        checks.append(all(p.ir == 0.7 for p in state.particles))
+        checks.append(all(v == 0.7 for v in state.ir))
         rationalizing(state, params, problem)
-        checks.append(all(p.ir == 0.7 for p in state.particles))
-        checks.append(state.particles[1].position[0] == 2.0)
+        checks.append(all(v == 0.7 for v in state.ir))
+        checks.append(state.pos[1, 0] == 2.0)
 
         ok = all(checks)
         _report(9, ok, f"pinned-random equation checks: {sum(checks)}/{len(checks)}")

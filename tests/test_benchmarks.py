@@ -175,3 +175,44 @@ class TestMakeProblem:
             "sphere",
             "rosenbrock",
         ]
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+class TestBatchForms:
+    """Each registered evaluator's ``batch`` form equals its per-row calls bit for bit."""
+
+    DIMENSIONS = {"sphere": (2, 3, 10, 30, 37), "rosenbrock": (2, 3, 10, 30, 37)}
+
+    @staticmethod
+    def _check(problem, points):
+        points = np.asarray(points, dtype=float)
+        batch = problem.evaluator.batch(points)
+        assert batch.shape == (len(points),)
+        assert _bits(batch) == _bits([problem.evaluator(x) for x in points])
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_batch_equals_rows_on_seeded_random_points(self, name):
+        rng = np.random.default_rng(sorted(REGISTRY).index(name))
+        for dim in self.DIMENSIONS.get(name, (2,)):
+            problem = make_problem(name, dim)
+            span = problem.upper_bounds - problem.lower_bounds
+            self._check(problem, problem.lower_bounds + rng.random((2000, dim)) * span)
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_batch_equals_rows_on_box_corners(self, name):
+        for dim in self.DIMENSIONS.get(name, (2,))[:2]:
+            problem = make_problem(name, dim)
+            corners = np.array([
+                [problem.upper_bounds[j] if (c >> j) & 1 else problem.lower_bounds[j]
+                 for j in range(dim)]
+                for c in range(2**dim)
+            ])
+            self._check(problem, corners)
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_one_row_batch(self, name):
+        problem = make_problem(name, 3 if REGISTRY[name].fixed_dimension is None else 2)
+        self._check(problem, [problem.known_minimizer])

@@ -17,7 +17,7 @@ from codoa.engine import (
 )
 from codoa.rng import RandomStream
 
-from support import PinnedStream, SequenceStream, box_problem, make_state
+from support import PinnedStream, SequenceStream, box_problem, make_state, mask
 
 
 PARAMS = AlgorithmParams()
@@ -27,45 +27,45 @@ class TestSocialization:
     def test_below_mean_gains_experience_and_interactivity(self):
         state = make_state(fitness=[1.0, 3.0], ir=[0.5, 0.5], rng=PinnedStream(0.5))
         socialization(state, PARAMS)
-        assert [p.ex for p in state.particles] == [1, -1]
-        assert state.particles[0].ir == pytest.approx(0.75)
-        assert state.particles[1].ir == 0.5
+        assert state.ex.tolist() == [1, -1]
+        assert state.ir[0] == pytest.approx(0.75)
+        assert state.ir[1] == 0.5
 
     def test_all_equal_fitness_decrements_everyone(self):
         state = make_state(fitness=[4.0, 4.0, 4.0], ir=[0.3, 0.3, 0.3],
                            rng=PinnedStream(0.9))
         socialization(state, PARAMS)
-        assert [p.ex for p in state.particles] == [-1, -1, -1]
-        assert all(p.ir == 0.3 for p in state.particles)
+        assert state.ex.tolist() == [-1, -1, -1]
+        assert all(v == 0.3 for v in state.ir)
 
     def test_mean_comparison_uses_strict_below(self):
         state = make_state(fitness=[0.0, 10.0, 10.0])  # mean 6.667
         socialization(state, PARAMS)
-        assert [p.ex for p in state.particles] == [1, -1, -1]
+        assert state.ex.tolist() == [1, -1, -1]
 
     def test_zero_rand_keeps_interactivity(self):
         state = make_state(fitness=[1.0, 3.0], ir=[0.5, 0.5], rng=PinnedStream(0.0))
         socialization(state, PARAMS)
-        assert state.particles[0].ir == 0.5
+        assert state.ir[0] == 0.5
 
 
 class TestDecayAllIr:
     def test_halves_under_pinned_half(self):
         state = make_state(fitness=[1.0, 2.0], ir=[0.4, 0.8], rng=PinnedStream(0.5))
         decay_all_ir(state, PARAMS)
-        assert state.particles[0].ir == pytest.approx(0.2)
-        assert state.particles[1].ir == pytest.approx(0.4)
+        assert state.ir[0] == pytest.approx(0.2)
+        assert state.ir[1] == pytest.approx(0.4)
 
     def test_zero_rand_engages_the_floor(self):
         state = make_state(fitness=[1.0, 2.0], ir=[0.4, 0.4], rng=PinnedStream(0.0))
         decay_all_ir(state, PARAMS)
-        assert all(p.ir == PARAMS.ir_floor for p in state.particles)
+        assert all(v == PARAMS.ir_floor for v in state.ir)
 
     def test_decay_never_exceeds_current_value(self):
         state = make_state(fitness=[1.0, 2.0], ir=[10.0, 10.0],
                            rng=PinnedStream(1.0 - 1e-12))
         decay_all_ir(state, PARAMS)
-        assert all(p.ir < 10.0 for p in state.particles)
+        assert all(v < 10.0 for v in state.ir)
 
 
 class TestMoveTowardBest:
@@ -73,24 +73,24 @@ class TestMoveTowardBest:
         problem = box_problem([-10.0], [10.0])
         state = make_state(fitness=[5.0, 0.0], ir=[0.5, 0.5],
                            positions=[[1.0], [3.0]], rng=PinnedStream(0.5))
-        move_toward_best(state, PARAMS, problem, lambda i, p: i == 0)
-        assert state.particles[0].position[0] == pytest.approx(1.5)
-        assert not state.particles[0].fitness_valid
+        move_toward_best(state, PARAMS, problem, mask(2, 0))
+        assert state.pos[0, 0] == pytest.approx(1.5)
+        assert state.stale[0]
 
     def test_particle_at_the_best_point_stays_put(self):
         problem = box_problem([-10.0, -10.0], [10.0, 10.0])
         state = make_state(fitness=[0.0, 1.0], ir=[7.0, 7.0],
                            positions=[[2.0, -3.0], [2.0, -3.0]],
                            rng=RandomStream(3))
-        move_toward_best(state, PARAMS, problem, lambda i, p: True)
-        np.testing.assert_array_equal(state.particles[1].position, [2.0, -3.0])
+        move_toward_best(state, PARAMS, problem, mask(2, 0, 1))
+        np.testing.assert_array_equal(state.pos[1], [2.0, -3.0])
 
     def test_zero_rand_leaves_positions_unchanged(self):
         problem = box_problem([-10.0, -10.0], [10.0, 10.0])
         state = make_state(fitness=[0.0, 1.0], positions=[[0.0, 0.0], [4.0, -2.0]],
                            rng=PinnedStream(0.0))
-        move_toward_best(state, PARAMS, problem, lambda i, p: True)
-        np.testing.assert_array_equal(state.particles[1].position, [4.0, -2.0])
+        move_toward_best(state, PARAMS, problem, mask(2, 0, 1))
+        np.testing.assert_array_equal(state.pos[1], [4.0, -2.0])
 
     def test_never_overshoots_when_ir_at_most_one(self):
         problem = box_problem([-50.0] * 3, [50.0] * 3)
@@ -102,8 +102,8 @@ class TestMoveTowardBest:
             state = make_state(fitness=[1.0, 0.0], ir=[max(ir, 1e-6)] * 2,
                                positions=[start.copy(), goal.copy()],
                                rng=RandomStream(trial))
-            move_toward_best(state, PARAMS, problem, lambda i, p: i == 0)
-            moved = state.particles[0].position
+            move_toward_best(state, PARAMS, problem, mask(2, 0))
+            moved = state.pos[0]
             # each coordinate lands between its start and the goal
             assert np.all(np.abs(moved - goal) <= np.abs(start - goal) + 1e-12)
             assert np.all((moved - goal) * (start - goal) >= -1e-12)
@@ -115,19 +115,35 @@ class TestMoveTowardBest:
                            gbest_pos=[0.0, 0.0], gbest_fit=0.4, holder=0,
                            rng=PinnedStream(0.5))
         holder = state.best_holder_index
-        move_toward_best(state, PARAMS, problem, lambda i, p: i != holder)
-        np.testing.assert_array_equal(state.particles[0].position, [5.0, 5.0])
-        assert state.particles[0].fitness_valid
-        np.testing.assert_array_equal(state.particles[1].position, [0.5, 0.5])
-        np.testing.assert_array_equal(state.particles[2].position, [1.0, 1.0])
+        move_toward_best(state, PARAMS, problem, ~mask(3, holder))
+        np.testing.assert_array_equal(state.pos[0], [5.0, 5.0])
+        assert not state.stale[0]
+        np.testing.assert_array_equal(state.pos[1], [0.5, 0.5])
+        np.testing.assert_array_equal(state.pos[2], [1.0, 1.0])
 
     def test_moves_are_clamped_into_the_box(self):
         problem = box_problem([-1.0], [1.0])
         state = make_state(fitness=[1.0, 0.0], ir=[10.0, 10.0],
                            positions=[[-1.0], [1.0]], rng=PinnedStream(0.9))
-        move_toward_best(state, PARAMS, problem, lambda i, p: i == 0)
+        move_toward_best(state, PARAMS, problem, mask(2, 0))
         # raw step: -1 + 0.9 * 10 * 2 = 17, clamped to the box edge
-        assert state.particles[0].position[0] == 1.0
+        assert state.pos[0, 0] == 1.0
+
+    def test_clamp_engages_per_coordinate(self):
+        problem = make_problem("booth", 2)
+        state = make_state(fitness=[1.0, 0.0], ir=[10.0, 10.0],
+                           positions=[[-10.0, 3.0], [10.0, 3.0]], rng=PinnedStream(0.9))
+        move_toward_best(state, PARAMS, problem, mask(2, 0))
+        # x would step to 170 and stops at the box edge; y has no gap and stays
+        np.testing.assert_array_equal(state.pos[0], [10.0, 3.0])
+
+    def test_clamp_engages_both_bounds(self):
+        problem = make_problem("sphere", 2)
+        state = make_state(fitness=[1.0, 0.0], ir=[10.0, 10.0],
+                           positions=[[100.0, -100.0], [-100.0, 100.0]],
+                           rng=PinnedStream(0.9))
+        move_toward_best(state, PARAMS, problem, mask(2, 0))
+        np.testing.assert_array_equal(state.pos[0], [-100.0, 100.0])
 
     def test_scalar_rand_variant_shares_one_factor_per_particle(self):
         problem = box_problem([-10.0, -10.0], [10.0, 10.0])
@@ -135,16 +151,16 @@ class TestMoveTowardBest:
         state = make_state(fitness=[1.0, 0.0], ir=[1.0, 1.0],
                            positions=[[0.0, 0.0], [1.0, 1.0]],
                            rng=SequenceStream([0.25, 0.75]))
-        move_toward_best(state, params, problem, lambda i, p: i == 0)
-        np.testing.assert_allclose(state.particles[0].position, [0.25, 0.25])
+        move_toward_best(state, params, problem, mask(2, 0))
+        np.testing.assert_allclose(state.pos[0], [0.25, 0.25])
 
     def test_per_dimension_rand_draws_fresh_factors(self):
         problem = box_problem([-10.0, -10.0], [10.0, 10.0])
         state = make_state(fitness=[1.0, 0.0], ir=[1.0, 1.0],
                            positions=[[0.0, 0.0], [1.0, 1.0]],
                            rng=SequenceStream([0.25, 0.75]))
-        move_toward_best(state, PARAMS, problem, lambda i, p: i == 0)
-        np.testing.assert_allclose(state.particles[0].position, [0.25, 0.75])
+        move_toward_best(state, PARAMS, problem, mask(2, 0))
+        np.testing.assert_allclose(state.pos[0], [0.25, 0.75])
 
 
 class TestMaturation:
@@ -154,25 +170,25 @@ class TestMaturation:
         maturation(state, AlgorithmParams(maturity_limit=3))
         # ex <= 3 boosts particles 1 and 2 to 1.5; the reward then lifts the
         # fittest (particle 2) once more: 1.5 + 0.5 * 1.5 = 2.25
-        assert state.particles[0].ir == 1.0
-        assert state.particles[1].ir == pytest.approx(1.5)
-        assert state.particles[2].ir == pytest.approx(2.25)
-        assert [p.ex for p in state.particles] == [4, 3, 0]
+        assert state.ir[0] == 1.0
+        assert state.ir[1] == pytest.approx(1.5)
+        assert state.ir[2] == pytest.approx(2.25)
+        assert state.ex.tolist() == [4, 3, 0]
 
     def test_empty_selection_still_rewards_best(self):
         state = make_state(fitness=[5.0, 4.0], ir=[1.0, 1.0], ex=[10, 10],
                            rng=PinnedStream(0.5))
         maturation(state, AlgorithmParams(maturity_limit=3))
-        assert state.particles[0].ir == 1.0        # not selected, not best
-        assert state.particles[1].ir == pytest.approx(1.5)  # reward only
-        assert [p.ex for p in state.particles] == [10, 11]
+        assert state.ir[0] == 1.0        # not selected, not best
+        assert state.ir[1] == pytest.approx(1.5)  # reward only
+        assert state.ex.tolist() == [10, 11]
 
     def test_zero_rand_is_a_fixed_point_for_interactivity(self):
         state = make_state(fitness=[5.0, 4.0], ir=[1.0, 1.0], ex=[0, 0],
                            rng=PinnedStream(0.0))
         maturation(state, AlgorithmParams(maturity_limit=3))
-        assert all(p.ir == 1.0 for p in state.particles)
-        assert [p.ex for p in state.particles] == [0, 1]
+        assert all(v == 1.0 for v in state.ir)
+        assert state.ex.tolist() == [0, 1]
 
 
 class TestRationalizing:
@@ -184,9 +200,9 @@ class TestRationalizing:
                            rng=PinnedStream(0.5))
         rationalizing(state, AlgorithmParams(rationality_rate=0), problem)
         # 0.5 + 0.5 * (2.0 / 0.5) = 2.5, then the particle moves toward the best
-        assert state.particles[0].ir == pytest.approx(2.5)
-        assert not state.particles[0].fitness_valid
-        assert state.particles[0].position[0] < 4.0
+        assert state.ir[0] == pytest.approx(2.5)
+        assert state.stale[0]
+        assert state.pos[0, 0] < 4.0
 
     def test_zero_rationality_rate_skips_non_negative_particles(self):
         problem = box_problem([-10.0, -10.0], [10.0, 10.0])
@@ -194,8 +210,8 @@ class TestRationalizing:
                            gbest_pos=[0.0, 0.0], gbest_fit=1.0, holder=1,
                            rng=PinnedStream(0.5))
         rationalizing(state, AlgorithmParams(rationality_rate=0), problem)
-        assert state.particles[0].ir == 0.7
-        assert state.particles[1].ir == 2.0
+        assert state.ir[0] == 0.7
+        assert state.ir[1] == 2.0
 
     def test_repeated_boosts_use_the_phase_start_reference(self):
         problem = box_problem([-10.0, -10.0], [10.0, 10.0])
@@ -204,8 +220,8 @@ class TestRationalizing:
                            rng=PinnedStream(1.0))
         rationalizing(state, AlgorithmParams(rationality_rate=2), problem)
         # reference stays 1.0: pass one gives 1 + 1/1 = 2, pass two 2 + 1/2 = 2.5
-        assert state.particles[0].ir == pytest.approx(2.5)
-        assert state.particles[1].ir == pytest.approx(2.5)
+        assert state.ir[0] == pytest.approx(2.5)
+        assert state.ir[1] == pytest.approx(2.5)
 
     def test_moved_and_unmoved_caches(self):
         problem = box_problem([-10.0, -10.0], [10.0, 10.0])
@@ -215,9 +231,9 @@ class TestRationalizing:
                            gbest_pos=[0.0, 0.0], gbest_fit=1.0, holder=1,
                            rng=PinnedStream(0.5))
         rationalizing(state, PARAMS, problem)
-        assert not state.particles[0].fitness_valid  # moved
-        assert state.particles[1].fitness_valid      # ex >= 0, boost only
-        assert state.particles[2].fitness_valid
+        assert state.stale[0]      # moved
+        assert not state.stale[1]      # ex >= 0, boost only
+        assert not state.stale[2]
 
 
 class TestBalancing:
@@ -229,19 +245,19 @@ class TestBalancing:
         balancing(state, PARAMS, problem)
         assert state.eval_count == 0
         # decay halves both, then the reward boosts the fittest back up
-        assert state.particles[0].ir == pytest.approx(0.3)
-        assert state.particles[1].ir == pytest.approx(0.4)
-        assert state.particles[0].ex == 1
+        assert state.ir[0] == pytest.approx(0.3)
+        assert state.ir[1] == pytest.approx(0.4)
+        assert state.ex[0] == 1
 
     def test_refreshes_stale_caches_before_rewarding(self):
         problem = make_problem("sphere", 2)
         state = make_state(fitness=[1.0, 4.0], ir=[0.4, 0.8],
                            positions=[[1.0, 0.0], [0.5, 0.0]],
                            rng=PinnedStream(0.5))
-        state.particles[1].fitness_valid = False
+        state.stale[1] = True
         balancing(state, PARAMS, problem)
         assert state.eval_count == 1
-        assert state.particles[1].fitness == 0.25
+        assert state.fit[1] == 0.25
         assert state.global_best_fitness == 0.25  # re-evaluated particle wins
 
     def test_archive_never_worsens(self):

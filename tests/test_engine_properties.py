@@ -38,14 +38,14 @@ def counting_problem(problem):
 @given(st.lists(finite_fitness, min_size=2, max_size=20))
 def test_socialization_conserves_experience_flow(fitnesses):
     state = make_state(fitness=fitnesses)
-    before = [p.ex for p in state.particles]
+    before = state.ex.tolist()
     socialization(state, AlgorithmParams())
     mean = math.fsum(fitnesses) / len(fitnesses)
-    gained = sum(1 for p, b in zip(state.particles, before) if p.ex == b + 1)
-    lost = sum(1 for p, b in zip(state.particles, before) if p.ex == b - 1)
+    gained = sum(1 for e, b in zip(state.ex.tolist(), before) if e == b + 1)
+    lost = sum(1 for e, b in zip(state.ex.tolist(), before) if e == b - 1)
     assert gained == sum(1 for f in fitnesses if f < mean)
     assert lost == len(fitnesses) - gained
-    assert gained + lost == len(state.particles)
+    assert gained + lost == len(state.ex)
 
 
 @given(st.lists(finite_fitness, min_size=2, max_size=20),
@@ -53,9 +53,9 @@ def test_socialization_conserves_experience_flow(fitnesses):
 @settings(max_examples=50)
 def test_reward_credits_exactly_one_particle(fitnesses, seed):
     state = make_state(fitness=fitnesses, rng=RandomStream(seed))
-    before = [p.ex for p in state.particles]
+    before = state.ex.tolist()
     reward_best(state, AlgorithmParams())
-    deltas = [p.ex - b for p, b in zip(state.particles, before)]
+    deltas = [e - b for e, b in zip(state.ex.tolist(), before)]
     assert sorted(deltas) == [0] * (len(deltas) - 1) + [1]
 
 

@@ -1,5 +1,6 @@
-"""Unit tests for params validation, clamps, caches, initialize, and run."""
+"""Unit tests for params validation, the ir clamp, caches, initialize, and run."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from codoa.engine import (
     ConfigurationError,
     ObjectiveProblem,
     clamp_ir,
-    clamp_position,
     evaluate_swarm,
     initialize,
     maximization_problem,
@@ -61,6 +61,25 @@ class TestAlgorithmParams:
     def test_maturity_limit_may_be_negative(self):
         assert AlgorithmParams(maturity_limit=-5).maturity_limit == -5
 
+    @pytest.mark.parametrize("field", [
+        "num_particles", "max_iterations", "maturity_limit", "rationality_rate", "initial_ex",
+    ])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    def test_count_fields_require_real_integers(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            AlgorithmParams(**{field: value})
+
+    def test_numpy_integers_are_accepted_as_plain_ints(self):
+        params = AlgorithmParams(num_particles=np.int64(7), initial_ex=np.int32(-2))
+        assert params.num_particles == 7 and type(params.num_particles) is int
+        assert params.initial_ex == -2 and type(params.initial_ex) is int
+
+    @pytest.mark.parametrize("field", ["initial_ir", "max_ir", "ir_floor", "min_ir"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 1e309, "0.5", None])
+    def test_interactivity_fields_must_be_finite_numbers(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            AlgorithmParams(**{field: value})
+
 
 class TestClampIr:
     def test_upper_clamp(self):
@@ -80,28 +99,6 @@ class TestClampIr:
         assert clamp_ir(out, params) == out
 
 
-class TestClampPosition:
-    def test_coordinate_clamp(self):
-        problem = make_problem("booth", 2)
-        np.testing.assert_array_equal(
-            clamp_position([11.0, 3.0], problem), [10.0, 3.0]
-        )
-
-    def test_identity_inside_box(self):
-        problem = make_problem("booth", 2)
-        np.testing.assert_array_equal(clamp_position([1.0, 3.0], problem), [1.0, 3.0])
-
-    def test_both_bounds_engage(self):
-        problem = make_problem("sphere", 2)
-        np.testing.assert_array_equal(
-            clamp_position([-200.0, 200.0], problem), [-100.0, 100.0]
-        )
-
-    def test_dimension_mismatch_is_rejected(self):
-        with pytest.raises(ValueError, match="dimension"):
-            clamp_position([1.0, 2.0, 3.0], make_problem("booth", 2))
-
-
 class TestObjectiveProblem:
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ConfigurationError, match="bounds"):
@@ -110,6 +107,13 @@ class TestObjectiveProblem:
     def test_rejects_bound_shape_mismatch(self):
         with pytest.raises(ConfigurationError, match="shape"):
             ObjectiveProblem(3, [0.0, 0.0], [1.0, 1.0], lambda x: 0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_bounds(self, bad):
+        with pytest.raises(ConfigurationError, match="lower_bounds"):
+            ObjectiveProblem(2, [bad, 0.0], [1.0, 1.0], lambda x: 0.0)
+        with pytest.raises(ConfigurationError, match="upper_bounds"):
+            ObjectiveProblem(2, [0.0, 0.0], [1.0, bad], lambda x: 0.0)
 
     def test_rejects_nonpositive_dimension(self):
         with pytest.raises(ConfigurationError, match="dimension"):
@@ -129,15 +133,15 @@ class TestRewardBest:
         state = make_state(fitness=[3.0, 1.0, 5.0], ir=[0.4, 0.4, 0.4],
                            rng=PinnedStream(0.5))
         reward_best(state, AlgorithmParams())
-        assert state.particles[1].ir == pytest.approx(0.6)
-        assert state.particles[1].ex == 1
-        assert state.particles[0].ir == 0.4 and state.particles[2].ir == 0.4
+        assert state.ir[1] == pytest.approx(0.6)
+        assert state.ex[1] == 1
+        assert state.ir[0] == 0.4 and state.ir[2] == 0.4
 
     def test_tie_breaks_to_lowest_index_and_zero_rand_keeps_ir(self):
         state = make_state(fitness=[2.0, 2.0], ir=[0.4, 0.4], rng=PinnedStream(0.0))
         reward_best(state, AlgorithmParams())
-        assert state.particles[0].ex == 1 and state.particles[1].ex == 0
-        assert state.particles[0].ir == 0.4
+        assert state.ex[0] == 1 and state.ex[1] == 0
+        assert state.ir[0] == 0.4
 
     def test_archive_updates_only_on_strict_improvement(self):
         state = make_state(fitness=[0.7, 1.2], ir=[0.4, 0.4], rng=PinnedStream(0.5),
@@ -146,8 +150,8 @@ class TestRewardBest:
         assert state.global_best_fitness == 0.5
         assert state.best_holder_index == 1
         np.testing.assert_array_equal(state.global_best_position, [9.0, 9.0])
-        assert state.particles[0].ir == pytest.approx(0.6)
-        assert state.particles[0].ex == 1
+        assert state.ir[0] == pytest.approx(0.6)
+        assert state.ex[0] == 1
 
     def test_archive_improves_when_beaten(self):
         state = make_state(fitness=[0.3, 1.2], positions=[[1.0, 1.0], [2.0, 2.0]],
@@ -162,28 +166,96 @@ class TestRewardBest:
 class TestEvaluateSwarm:
     def test_sphere_origin_has_zero_fitness(self):
         state = make_state(fitness=[math.inf], positions=[[0.0, 0.0]])
-        state.particles[0].fitness_valid = False
+        state.stale[0] = True
         evaluate_swarm(state, make_problem("sphere", 2))
-        assert state.particles[0].fitness == 0.0
-        assert state.particles[0].fitness_valid
+        assert state.fit[0] == 0.0
+        assert not state.stale[0]
 
     def test_only_stale_caches_are_recomputed(self):
         state = make_state(fitness=[1.0, 2.0, 3.0],
                            positions=[[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-        state.particles[1].fitness_valid = False
+        state.stale[1] = True
         evaluate_swarm(state, make_problem("sphere", 2))
         assert state.eval_count == 1
-        assert state.particles[1].fitness == 4.0
-        assert state.particles[0].fitness == 1.0  # untouched cache
+        assert state.fit[1] == 4.0
+        assert state.fit[0] == 1.0  # untouched cache
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_become_plus_infinity(self, bad):
         problem = box_problem([-1.0], [1.0], evaluator=lambda x: bad)
         state = make_state(fitness=[0.0], positions=[[0.0]])
-        state.particles[0].fitness_valid = False
+        state.stale[0] = True
         evaluate_swarm(state, problem)
-        assert state.particles[0].fitness == math.inf
-        assert state.particles[0].fitness_valid
+        assert state.fit[0] == math.inf
+        assert not state.stale[0]
+
+
+class TestEvaluationPaths:
+    @staticmethod
+    def _stale_state(positions):
+        state = make_state(fitness=[math.inf] * len(positions), positions=positions)
+        state.stale[:] = True
+        return state
+
+    def test_batch_form_gets_all_stale_rows_in_one_call(self):
+        calls = []
+
+        def objective(x):
+            raise AssertionError("per-row path taken")
+
+        def batch(points):
+            calls.append(points.copy())
+            return np.square(points).sum(axis=1)
+
+        objective.batch = batch
+        state = self._stale_state([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        state.stale[1] = False
+        evaluate_swarm(state, box_problem([-5.0, -5.0], [5.0, 5.0], objective))
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], [[1.0, 0.0], [3.0, 0.0]])
+        assert state.fit.tolist() == [1.0, math.inf, 9.0]
+        assert state.eval_count == 2
+
+    def test_plain_user_evaluator_is_called_row_by_row_in_order(self):
+        seen = []
+
+        def objective(x):
+            seen.append(float(x[0]))
+            return float(x[0])
+
+        state = self._stale_state([[3.0], [1.0], [2.0]])
+        evaluate_swarm(state, box_problem([-5.0], [5.0], objective))
+        assert seen == [3.0, 1.0, 2.0]
+        assert state.fit.tolist() == [3.0, 1.0, 2.0]
+        assert state.eval_count == 3
+
+    def test_wrapped_evaluators_drop_the_inner_batch_form(self):
+        def objective(x):
+            return float(np.square(x).sum())
+
+        objective.batch = lambda points: np.zeros(len(points))  # deliberately wrong
+        plain = box_problem([-5.0, -5.0], [5.0, 5.0], objective)
+        maximized = maximization_problem(2, [-5.0, -5.0], [5.0, 5.0], objective)
+        swapped = dataclasses.replace(plain, evaluator=lambda x: objective(x) + 1.0)
+        for problem, expected in ((maximized, [-1.0, -4.0]), (swapped, [2.0, 5.0])):
+            state = self._stale_state([[1.0, 0.0], [2.0, 0.0]])
+            evaluate_swarm(state, problem)
+            assert state.fit.tolist() == expected
+
+    @pytest.mark.parametrize("path", ["batch", "rows"])
+    def test_non_finite_values_become_plus_infinity_on_both_paths(self, path):
+        values = [math.nan, math.inf, -math.inf, 1.5]
+
+        def objective(x):
+            return values[int(x[0])]
+
+        if path == "batch":
+            objective.batch = lambda points: np.array([values[int(r[0])] for r in points])
+        state = self._stale_state([[0.0], [1.0], [2.0], [3.0]])
+        evaluate_swarm(state, box_problem([-5.0], [5.0], objective))
+        assert state.fit.tolist() == [math.inf, math.inf, math.inf, 1.5]
+        assert not state.stale.any()
+        assert state.eval_count == 4
 
 
 class TestInitialize:
@@ -191,38 +263,36 @@ class TestInitialize:
         params = AlgorithmParams()
         problem = make_problem("booth", 2)
         state = initialize(params, problem, seed=11)
-        assert len(state.particles) == 50
-        for p in state.particles:
-            assert np.all(p.position >= -10.0) and np.all(p.position <= 10.0)
-            assert p.fitness_valid
+        assert state.pos.shape == (50, 2)
+        assert np.all(state.pos >= -10.0) and np.all(state.pos <= 10.0)
+        assert not state.stale.any()
         assert state.eval_count == 50
 
     def test_initial_archive_is_swarm_minimum(self):
         state = initialize(AlgorithmParams(num_particles=20, max_iterations=1),
                            make_problem("sphere", 3), seed=4)
-        assert state.global_best_fitness == min(p.fitness for p in state.particles)
+        assert state.global_best_fitness == min(state.fit)
         assert state.best_holder_index is not None
 
     def test_best_particle_gets_the_initial_reward(self):
         params = AlgorithmParams(num_particles=10)
         state = initialize(params, make_problem("booth", 2), seed=9)
         holder = state.best_holder_index
-        for i, p in enumerate(state.particles):
+        for i, (ex, ir) in enumerate(zip(state.ex, state.ir)):
             if i == holder:
-                assert p.ex == params.initial_ex + 1
-                assert p.ir >= params.initial_ir
+                assert ex == params.initial_ex + 1
+                assert ir >= params.initial_ir
             else:
-                assert p.ex == params.initial_ex
-                assert p.ir == params.initial_ir
+                assert ex == params.initial_ex
+                assert ir == params.initial_ir
 
     def test_same_seed_reproduces_the_state_exactly(self):
         params = AlgorithmParams(num_particles=12)
         problem = make_problem("beale", 2)
         a = initialize(params, problem, seed=77)
         b = initialize(params, problem, seed=77)
-        for pa, pb in zip(a.particles, b.particles):
-            np.testing.assert_array_equal(pa.position, pb.position)
-            assert (pa.fitness, pa.ir, pa.ex) == (pb.fitness, pb.ir, pb.ex)
+        for name in ("pos", "fit", "ir", "ex"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
         assert a.global_best_fitness == b.global_best_fitness
 
 
