@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 from codoa.benchmarks import REGISTRY
 from codoa.engine import AlgorithmParams, ConfigurationError
-from codoa.harness import ExperimentConfig, run_experiment, table2_grid, write_report
+from codoa.harness import REPORT_FORMATS, ExperimentConfig, run_experiment, table2_grid, write_report
 
 
 class UsageError(Exception):
@@ -23,6 +23,17 @@ class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; the contract here is 1.
     def error(self, message: str) -> None:
         raise UsageError(message)
+
+
+# (flag, AlgorithmParams field, help) of each parameter `codoa run` exposes
+_PARAM_FLAGS = (
+    ("--particles", "num_particles", "swarm size"),
+    ("--iterations", "max_iterations", "iteration budget"),
+    ("--ir0", "initial_ir", "initial interactivity rate"),
+    ("--max-ir", "max_ir", "interactivity upper bound"),
+    ("--ml", "maturity_limit", "maturity limit"),
+    ("--rationality", "rationality_rate", "rationality rate"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,20 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="optimize one benchmark function")
     run_p.add_argument("--function", required=True, help="benchmark function name")
     run_p.add_argument("--dims", type=int, default=2, help="problem dimension (default 2)")
-    run_p.add_argument("--particles", type=int, default=50, help="swarm size (default 50)")
-    run_p.add_argument(
-        "--iterations", type=int, default=5000, help="iteration budget (default 5000)"
-    )
-    run_p.add_argument(
-        "--ir0", type=float, default=0.5, help="initial interactivity rate (default 0.5)"
-    )
-    run_p.add_argument(
-        "--max-ir", type=float, default=10.0, help="interactivity upper bound (default 10.0)"
-    )
-    run_p.add_argument("--ml", type=int, default=3, help="maturity limit (default 3)")
-    run_p.add_argument(
-        "--rationality", type=int, default=2, help="rationality rate (default 2)"
-    )
+    for flag, name, text in _PARAM_FLAGS:
+        default = getattr(AlgorithmParams, name)
+        run_p.add_argument(flag, type=type(default), default=default,
+                           help=f"{text} (default %(default)s)")
     _add_experiment_flags(run_p)
     run_p.set_defaults(handler=cmd_run)
 
@@ -66,12 +67,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--runs", type=int, default=10, help="runs per entry (default 10)")
-    sub.add_argument("--seed", type=int, default=1, help="base seed; run k uses seed+k (default 1)")
-    sub.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="report format (default csv)"
-    )
-    sub.add_argument("--out", default=None, metavar="PATH", help="report destination (default stdout)")
+    sub.add_argument("--runs", type=int, default=ExperimentConfig.runs_per_entry,
+                     help="runs per entry (default %(default)s)")
+    sub.add_argument("--seed", type=int, default=ExperimentConfig.base_seed,
+                     help="base seed; run k uses seed+k (default %(default)s)")
+    sub.add_argument("--format", choices=REPORT_FORMATS, default=ExperimentConfig.output_format,
+                     help="report format (default %(default)s)")
+    sub.add_argument("--out", metavar="PATH", help="report destination (default stdout)")
 
 
 def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
@@ -82,21 +84,15 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
 def _params_line(params: AlgorithmParams) -> str:
     return (
         f"params: N={params.num_particles} iterations={params.max_iterations} "
-        f"ir0={params.initial_ir:g} max_ir={params.max_ir:g} min_ir={params.min_ir:g} "
-        f"ir_floor={params.ir_floor:g} ml={params.maturity_limit} "
-        f"r={params.rationality_rate} initial_ex={params.initial_ex}"
+        f"ir0={params.initial_ir:g} max_ir={params.max_ir:g} "
+        f"ir_floor={params.ir_floor:g} ml={params.maturity_limit} r={params.rationality_rate}"
     )
 
 
 def cmd_run(ns: argparse.Namespace) -> int:
     """Run one (function, dimension) entry and report its statistics."""
     params = AlgorithmParams(
-        num_particles=ns.particles,
-        max_iterations=ns.iterations,
-        initial_ir=ns.ir0,
-        max_ir=ns.max_ir,
-        maturity_limit=ns.ml,
-        rationality_rate=ns.rationality,
+        **{name: getattr(ns, flag[2:].replace("-", "_")) for flag, name, _ in _PARAM_FLAGS}
     )
     config = ExperimentConfig(
         entries=((ns.function, ns.dims),),

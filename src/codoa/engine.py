@@ -2,8 +2,9 @@
 
 The Cognitive Development Optimization Algorithm keeps a swarm of particles,
 each carrying a position, a cached fitness, an interactivity rate ``ir`` (the
-step scale toward the best point found so far) and a signed experience
-counter ``ex``.  Each iteration applies a fixed sequence of phases that grow,
+step scale toward the best point found so far, kept within
+``[ir_floor, max_ir]``) and a signed experience counter ``ex``, which starts
+at zero.  Each iteration applies a fixed sequence of phases that grow,
 decay, and redistribute interactivity while particles drift toward the
 archived global best.  Minimization only; maximize by negating the objective
 (see :func:`maximization_problem`).
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
@@ -34,43 +36,45 @@ class ConfigurationError(ValueError):
     """Invalid algorithm parameters, problem description, or experiment setup."""
 
 
+def checked(name: str, value, kind: str):
+    """``value`` as an ``int`` setting (a real integer, not a bool, returned as
+    ``int``) or a ``float`` one (a finite real); other kinds pass unchecked."""
+    if kind == "int":
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    # compared, not math.isfinite(): that raises OverflowError on a huge int
+    if kind == "float" and not (
+        isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+    ):
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def check_fields(obj) -> None:
+    """Apply :func:`checked` to every field of a frozen dataclass, by its annotation."""
+    for f in fields(obj):
+        object.__setattr__(obj, f.name, checked(f.name, getattr(obj, f.name), f.type))
+
+
 @dataclass(frozen=True)
 class AlgorithmParams:
-    """Tunable knobs of the optimizer.
+    """Tunable knobs of the optimizer; the defaults are the reference settings.
 
-    Defaults are the reference test settings: 50 particles, 5000 iterations,
-    initial interactivity 0.5 bounded above by 10.0, maturity limit 3,
-    rationality rate 2.
-
-    ``min_ir`` is the declared lower interactivity limit (0.0 by
-    convention) but is superseded operationally by ``ir_floor``: a strictly
-    positive epsilon that keeps interactivity ratios divisible.
-    ``per_dimension_rand`` selects whether position updates draw one random
-    factor per coordinate (default) or a single factor per particle.
+    ``ir_floor`` is the lower limit on interactivity: a strictly positive
+    epsilon that keeps interactivity ratios divisible.
     """
 
     num_particles: int = 50
     max_iterations: int = 5000
     initial_ir: float = 0.5
     max_ir: float = 10.0
-    min_ir: float = 0.0
     ir_floor: float = 1e-6
     maturity_limit: int = 3
     rationality_rate: int = 2
-    initial_ex: int = 0
-    per_dimension_rand: bool = True
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int":
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                    raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
-                object.__setattr__(self, f.name, int(value))
-            elif f.type == "float" and not (
-                isinstance(value, numbers.Real) and math.isfinite(value)
-            ):
-                raise ConfigurationError(f"{f.name} must be a finite number, got {value!r}")
+        check_fields(self)
         if self.num_particles < 2:
             raise ConfigurationError(
                 f"num_particles must be at least 2, got {self.num_particles}"
@@ -79,12 +83,10 @@ class AlgorithmParams:
             raise ConfigurationError(
                 f"max_iterations must be non-negative, got {self.max_iterations}"
             )
-        if not 0.0 <= self.min_ir < self.ir_floor <= self.initial_ir <= self.max_ir:
+        if not 0.0 < self.ir_floor <= self.initial_ir <= self.max_ir:
             raise ConfigurationError(
-                "interactivity bounds must satisfy "
-                "0 <= min_ir < ir_floor <= initial_ir <= max_ir, got "
-                f"min_ir={self.min_ir}, ir_floor={self.ir_floor}, "
-                f"initial_ir={self.initial_ir}, max_ir={self.max_ir}"
+                "interactivity bounds must satisfy 0 < ir_floor <= initial_ir <= max_ir, got "
+                f"ir_floor={self.ir_floor}, initial_ir={self.initial_ir}, max_ir={self.max_ir}"
             )
         if self.rationality_rate < 0:
             raise ConfigurationError(
@@ -164,7 +166,6 @@ class SwarmState:
     global_best_position: Optional[np.ndarray] = None
     global_best_fitness: float = math.inf
     best_holder_index: Optional[int] = None
-    iteration: int = 0
     eval_count: int = 0
     history: list[float] = field(default_factory=list)
 
@@ -224,7 +225,6 @@ def decay_all_ir(state: SwarmState, params: AlgorithmParams) -> None:
 
 def move_toward_best(
     state: SwarmState,
-    params: AlgorithmParams,
     problem: ObjectiveProblem,
     selected: np.ndarray,
 ) -> None:
@@ -239,8 +239,7 @@ def move_toward_best(
     if not k:
         return
     irs = state.ir[selected]
-    cols = problem.dimension if params.per_dimension_rand else 1
-    u = state.rng.draw(k * cols).reshape(k, cols)
+    u = state.rng.draw(k * problem.dimension).reshape(k, problem.dimension)
     moved = positions + u * (irs[:, None] * (state.global_best_position - positions))
     np.clip(moved, problem.lower_bounds, problem.upper_bounds, out=moved)
     state.pos[selected] = moved
@@ -286,7 +285,7 @@ def rationalizing(state: SwarmState, params: AlgorithmParams, problem: Objective
     negative = state.ex < 0
     ir = state.ir[negative]
     state.ir[negative] = clamp_ir(ir + state.rng.draw(len(ir)) * (b / ir), params)
-    move_toward_best(state, params, problem, negative)
+    move_toward_best(state, problem, negative)
     positive = ~negative
     for _ in range(params.rationality_rate):
         ir = state.ir[positive]
@@ -310,7 +309,7 @@ def initialize(params: AlgorithmParams, problem: ObjectiveProblem, seed: int) ->
         pos=lower + rng.draw(n * d).reshape(n, d) * span,
         fit=np.full(n, math.inf),
         ir=np.full(n, float(params.initial_ir)),
-        ex=np.full(n, params.initial_ex, dtype=np.int64),
+        ex=np.zeros(n, dtype=np.int64),
         stale=np.ones(n, dtype=bool),
         rng=rng,
     )
@@ -328,13 +327,12 @@ def iterate(state: SwarmState, params: AlgorithmParams, problem: ObjectiveProble
     socialization(state, params)
     decay_all_ir(state, params)
     others = np.arange(len(state.fit)) != state.best_holder_index
-    move_toward_best(state, params, problem, others)
+    move_toward_best(state, problem, others)
     evaluate_swarm(state, problem)
     reward_best(state, params)
     maturation(state, params)
     rationalizing(state, params, problem)
     balancing(state, params, problem)
-    state.iteration += 1
     state.history.append(state.global_best_fitness)
 
 

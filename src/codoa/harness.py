@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from codoa.benchmarks import make_problem
-from codoa.engine import AlgorithmParams, ConfigurationError, RunResult, run
+from codoa.engine import AlgorithmParams, ConfigurationError, RunResult, check_fields, checked, run
 
 REPORT_COLUMNS = (
     "function",
@@ -35,6 +35,14 @@ REPORT_COLUMNS = (
 
 TABLE2_DIMENSIONS = (2, 5, 10, 20, 30)
 
+REPORT_FORMATS = ("csv", "json")
+
+
+def check_format(fmt) -> None:
+    """Raise ConfigurationError unless ``fmt`` is one of REPORT_FORMATS."""
+    if fmt not in REPORT_FORMATS:
+        raise ConfigurationError(f"output_format must be one of {REPORT_FORMATS}, got {fmt!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -48,12 +56,16 @@ class ExperimentConfig:
     output_path: Optional[str] = None
 
     def __post_init__(self) -> None:
+        check_fields(self)
         try:
-            entries = tuple((str(name), int(dim)) for name, dim in self.entries)
+            pairs = tuple((str(name), dim) for name, dim in self.entries)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(
                 f"each entry must be a (function, dimension) pair: {exc}"
             ) from None
+        entries = tuple(
+            (name, checked(f"entries dimension of {name!r}", dim, "int")) for name, dim in pairs
+        )
         object.__setattr__(self, "entries", entries)
         for name, dim in entries:
             make_problem(name, dim)  # raises ConfigurationError on a bad entry
@@ -61,9 +73,12 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"runs_per_entry must be positive, got {self.runs_per_entry}"
             )
-        if self.output_format not in ("csv", "json"):
+        if self.base_seed < 0:
+            raise ConfigurationError(f"base_seed must be non-negative, got {self.base_seed}")
+        check_format(self.output_format)
+        if not isinstance(self.output_path, (str, type(None))):
             raise ConfigurationError(
-                f"output_format must be 'csv' or 'json', got {self.output_format!r}"
+                f"output_path must be a string or null, got {self.output_path!r}"
             )
 
 
@@ -213,10 +228,7 @@ def report_to_dict(report: ExperimentReport) -> dict:
 
 def write_report(report: ExperimentReport, output_format: str, destination=None) -> None:
     """Write the report as CSV or JSON to a path, or to stdout if none given."""
-    if output_format not in ("csv", "json"):
-        raise ConfigurationError(
-            f"output_format must be 'csv' or 'json', got {output_format!r}"
-        )
+    check_format(output_format)
     if destination is None:
         _emit(report, output_format, sys.stdout)
     else:
@@ -237,7 +249,7 @@ def _emit(report: ExperimentReport, output_format: str, fh) -> None:
 
 
 _PARAM_KEYS = tuple(f.name for f in fields(AlgorithmParams))
-_TOP_KEYS = ("entries", "runs_per_entry", "base_seed", "output_format", "output_path")
+_TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "params")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -246,7 +258,7 @@ def load_config(path) -> ExperimentConfig:
     Recognized keys are the experiment fields (``entries``,
     ``runs_per_entry``, ``base_seed``, ``output_format``, ``output_path``)
     plus the algorithm parameter names inlined at top level.  Unknown keys
-    are an error.
+    are an error; absent keys take the dataclass defaults.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -258,11 +270,4 @@ def load_config(path) -> ExperimentConfig:
     if "entries" not in doc:
         raise ConfigurationError("experiment config is missing 'entries'")
     params = AlgorithmParams(**{k: doc[k] for k in _PARAM_KEYS if k in doc})
-    return ExperimentConfig(
-        entries=doc["entries"],
-        runs_per_entry=doc.get("runs_per_entry", 10),
-        base_seed=doc.get("base_seed", 1),
-        params=params,
-        output_format=doc.get("output_format", "csv"),
-        output_path=doc.get("output_path"),
-    )
+    return ExperimentConfig(params=params, **{k: doc[k] for k in _TOP_KEYS if k in doc})

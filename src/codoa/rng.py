@@ -4,19 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 
-_SEED_MASK = 2**64 - 1
-
 
 class RandomStream:
     """Deterministic stream of uniform draws on [0, 1).
 
-    The same seed always reproduces the same sequence within this
-    implementation; no bit-compatibility with other libraries or
-    languages is promised.
+    A seed is any non-negative integer, used whole (a negative one raises
+    numpy's ``ValueError``).  The same seed always reproduces the same
+    sequence within this implementation; no bit-compatibility with other
+    libraries or languages is promised.
     """
 
     def __init__(self, seed: int) -> None:
-        self.seed = int(seed) & _SEED_MASK
+        self.seed = int(seed)
         self._gen = np.random.default_rng(self.seed)
 
     def next(self) -> float:

@@ -234,7 +234,7 @@ class TestPinnedEquationChecks:
         problem = box_problem([-10.0], [10.0])
         state = make_state(fitness=[5.0, 0.0], ir=[0.5, 0.5],
                            positions=[[1.0], [3.0]], rng=PinnedStream(0.5))
-        move_toward_best(state, params, problem, mask(2, 0))
+        move_toward_best(state, problem, mask(2, 0))
         checks.append(math.isclose(state.pos[0, 0], 1.5))
 
         # maturation: only experience <= limit is boosted before the reward

@@ -72,6 +72,10 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "booth" in err and "dimension" in err
 
+    def test_negative_seed_exits_one_and_names_the_field(self, capsys):
+        assert main(["run", "--function", "booth", "--seed", "-1"]) == 1
+        assert "base_seed" in capsys.readouterr().err
+
     def test_unknown_function_exits_one_and_echoes_the_name(self, capsys):
         assert main(["run", "--function", "warp"]) == 1
         assert "warp" in capsys.readouterr().err

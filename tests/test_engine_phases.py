@@ -73,7 +73,7 @@ class TestMoveTowardBest:
         problem = box_problem([-10.0], [10.0])
         state = make_state(fitness=[5.0, 0.0], ir=[0.5, 0.5],
                            positions=[[1.0], [3.0]], rng=PinnedStream(0.5))
-        move_toward_best(state, PARAMS, problem, mask(2, 0))
+        move_toward_best(state, problem, mask(2, 0))
         assert state.pos[0, 0] == pytest.approx(1.5)
         assert state.stale[0]
 
@@ -82,14 +82,14 @@ class TestMoveTowardBest:
         state = make_state(fitness=[0.0, 1.0], ir=[7.0, 7.0],
                            positions=[[2.0, -3.0], [2.0, -3.0]],
                            rng=RandomStream(3))
-        move_toward_best(state, PARAMS, problem, mask(2, 0, 1))
+        move_toward_best(state, problem, mask(2, 0, 1))
         np.testing.assert_array_equal(state.pos[1], [2.0, -3.0])
 
     def test_zero_rand_leaves_positions_unchanged(self):
         problem = box_problem([-10.0, -10.0], [10.0, 10.0])
         state = make_state(fitness=[0.0, 1.0], positions=[[0.0, 0.0], [4.0, -2.0]],
                            rng=PinnedStream(0.0))
-        move_toward_best(state, PARAMS, problem, mask(2, 0, 1))
+        move_toward_best(state, problem, mask(2, 0, 1))
         np.testing.assert_array_equal(state.pos[1], [4.0, -2.0])
 
     def test_never_overshoots_when_ir_at_most_one(self):
@@ -102,7 +102,7 @@ class TestMoveTowardBest:
             state = make_state(fitness=[1.0, 0.0], ir=[max(ir, 1e-6)] * 2,
                                positions=[start.copy(), goal.copy()],
                                rng=RandomStream(trial))
-            move_toward_best(state, PARAMS, problem, mask(2, 0))
+            move_toward_best(state, problem, mask(2, 0))
             moved = state.pos[0]
             # each coordinate lands between its start and the goal
             assert np.all(np.abs(moved - goal) <= np.abs(start - goal) + 1e-12)
@@ -115,7 +115,7 @@ class TestMoveTowardBest:
                            gbest_pos=[0.0, 0.0], gbest_fit=0.4, holder=0,
                            rng=PinnedStream(0.5))
         holder = state.best_holder_index
-        move_toward_best(state, PARAMS, problem, ~mask(3, holder))
+        move_toward_best(state, problem, ~mask(3, holder))
         np.testing.assert_array_equal(state.pos[0], [5.0, 5.0])
         assert not state.stale[0]
         np.testing.assert_array_equal(state.pos[1], [0.5, 0.5])
@@ -125,7 +125,7 @@ class TestMoveTowardBest:
         problem = box_problem([-1.0], [1.0])
         state = make_state(fitness=[1.0, 0.0], ir=[10.0, 10.0],
                            positions=[[-1.0], [1.0]], rng=PinnedStream(0.9))
-        move_toward_best(state, PARAMS, problem, mask(2, 0))
+        move_toward_best(state, problem, mask(2, 0))
         # raw step: -1 + 0.9 * 10 * 2 = 17, clamped to the box edge
         assert state.pos[0, 0] == 1.0
 
@@ -133,7 +133,7 @@ class TestMoveTowardBest:
         problem = make_problem("booth", 2)
         state = make_state(fitness=[1.0, 0.0], ir=[10.0, 10.0],
                            positions=[[-10.0, 3.0], [10.0, 3.0]], rng=PinnedStream(0.9))
-        move_toward_best(state, PARAMS, problem, mask(2, 0))
+        move_toward_best(state, problem, mask(2, 0))
         # x would step to 170 and stops at the box edge; y has no gap and stays
         np.testing.assert_array_equal(state.pos[0], [10.0, 3.0])
 
@@ -142,24 +142,15 @@ class TestMoveTowardBest:
         state = make_state(fitness=[1.0, 0.0], ir=[10.0, 10.0],
                            positions=[[100.0, -100.0], [-100.0, 100.0]],
                            rng=PinnedStream(0.9))
-        move_toward_best(state, PARAMS, problem, mask(2, 0))
+        move_toward_best(state, problem, mask(2, 0))
         np.testing.assert_array_equal(state.pos[0], [-100.0, 100.0])
-
-    def test_scalar_rand_variant_shares_one_factor_per_particle(self):
-        problem = box_problem([-10.0, -10.0], [10.0, 10.0])
-        params = AlgorithmParams(per_dimension_rand=False)
-        state = make_state(fitness=[1.0, 0.0], ir=[1.0, 1.0],
-                           positions=[[0.0, 0.0], [1.0, 1.0]],
-                           rng=SequenceStream([0.25, 0.75]))
-        move_toward_best(state, params, problem, mask(2, 0))
-        np.testing.assert_allclose(state.pos[0], [0.25, 0.25])
 
     def test_per_dimension_rand_draws_fresh_factors(self):
         problem = box_problem([-10.0, -10.0], [10.0, 10.0])
         state = make_state(fitness=[1.0, 0.0], ir=[1.0, 1.0],
                            positions=[[0.0, 0.0], [1.0, 1.0]],
                            rng=SequenceStream([0.25, 0.75]))
-        move_toward_best(state, PARAMS, problem, mask(2, 0))
+        move_toward_best(state, problem, mask(2, 0))
         np.testing.assert_allclose(state.pos[0], [0.25, 0.75])
 
 
@@ -276,7 +267,6 @@ class TestIterate:
         problem = make_problem("booth", 2)
         state = initialize(params, problem, seed=2)
         iterate(state, params, problem)
-        assert state.iteration == 1
         assert len(state.history) == 1
         assert state.history[0] == state.global_best_fitness
 

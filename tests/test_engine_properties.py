@@ -70,7 +70,6 @@ def _random_setup(rng):
         max_iterations=int(rng.integers(1, 12)),
         maturity_limit=int(rng.integers(-2, 6)),
         rationality_rate=int(rng.integers(0, 4)),
-        per_dimension_rand=bool(rng.integers(0, 2)),
     )
     return name, dim, params
 

@@ -30,7 +30,7 @@ class TestAlgorithmParams:
         assert (p.num_particles, p.max_iterations) == (50, 5000)
         assert (p.initial_ir, p.max_ir) == (0.5, 10.0)
         assert (p.maturity_limit, p.rationality_rate) == (3, 2)
-        assert p.min_ir == 0.0 and p.ir_floor == 1e-6 and p.initial_ex == 0
+        assert p.ir_floor == 1e-6
 
     def test_needs_at_least_two_particles(self):
         with pytest.raises(ConfigurationError, match="num_particles"):
@@ -43,9 +43,8 @@ class TestAlgorithmParams:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"min_ir": -0.1},
-            {"min_ir": 1e-6},  # must stay strictly under ir_floor
             {"ir_floor": 0.0},
+            {"ir_floor": -0.1},
             {"initial_ir": 20.0},  # above max_ir
             {"ir_floor": 0.9, "initial_ir": 0.5},
         ],
@@ -62,7 +61,7 @@ class TestAlgorithmParams:
         assert AlgorithmParams(maturity_limit=-5).maturity_limit == -5
 
     @pytest.mark.parametrize("field", [
-        "num_particles", "max_iterations", "maturity_limit", "rationality_rate", "initial_ex",
+        "num_particles", "max_iterations", "maturity_limit", "rationality_rate",
     ])
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
     def test_count_fields_require_real_integers(self, field, value):
@@ -70,12 +69,14 @@ class TestAlgorithmParams:
             AlgorithmParams(**{field: value})
 
     def test_numpy_integers_are_accepted_as_plain_ints(self):
-        params = AlgorithmParams(num_particles=np.int64(7), initial_ex=np.int32(-2))
+        params = AlgorithmParams(num_particles=np.int64(7), maturity_limit=np.int32(-2))
         assert params.num_particles == 7 and type(params.num_particles) is int
-        assert params.initial_ex == -2 and type(params.initial_ex) is int
+        assert params.maturity_limit == -2 and type(params.maturity_limit) is int
 
-    @pytest.mark.parametrize("field", ["initial_ir", "max_ir", "ir_floor", "min_ir"])
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 1e309, "0.5", None])
+    @pytest.mark.parametrize("field", ["initial_ir", "max_ir", "ir_floor"])
+    @pytest.mark.parametrize("value", [
+        math.inf, -math.inf, math.nan, 1e309, pytest.param(10**400, id="10**400"), "0.5", None,
+    ])
     def test_interactivity_fields_must_be_finite_numbers(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             AlgorithmParams(**{field: value})
@@ -280,10 +281,10 @@ class TestInitialize:
         holder = state.best_holder_index
         for i, (ex, ir) in enumerate(zip(state.ex, state.ir)):
             if i == holder:
-                assert ex == params.initial_ex + 1
+                assert ex == 1
                 assert ir >= params.initial_ir
             else:
-                assert ex == params.initial_ex
+                assert ex == 0
                 assert ir == params.initial_ir
 
     def test_same_seed_reproduces_the_state_exactly(self):
@@ -336,7 +337,11 @@ class TestRandomStream:
         a, b = RandomStream(99), RandomStream(99)
         assert [a.next() for _ in range(20)] == [b.next() for _ in range(20)]
 
-    def test_negative_seed_is_normalized_deterministically(self):
-        a, b = RandomStream(-7), RandomStream(-7)
-        assert a.seed == b.seed and a.seed >= 0
-        assert a.next() == b.next()
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError):
+            RandomStream(-7)
+
+    def test_seeds_are_used_whole(self):
+        wide = RandomStream(5 + 2**64)
+        assert wide.seed == 5 + 2**64
+        assert wide.next() != RandomStream(5).next()

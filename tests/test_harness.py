@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -104,6 +105,25 @@ class TestRunExperiment:
     def test_rejects_unknown_format(self):
         with pytest.raises(ConfigurationError, match="output_format"):
             ExperimentConfig(entries=(("booth", 2),), output_format="xml")
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("runs_per_entry", {"runs_per_entry": 1.5}),
+        ("runs_per_entry", {"runs_per_entry": "3"}),
+        ("base_seed", {"base_seed": "1"}),
+        ("base_seed", {"base_seed": -1}),
+        ("entries", {"entries": (("sphere", 2.7),)}),
+        ("entries", {"entries": (("sphere", True),)}),
+        ("output_path", {"output_path": 7}),
+    ])
+    def test_rejects_ill_typed_settings_naming_the_field(self, field, kwargs):
+        with pytest.raises(ConfigurationError, match=field):
+            ExperimentConfig(**{"entries": (("booth", 2),), **kwargs})
+
+    def test_numpy_integers_are_accepted_as_plain_ints(self):
+        config = ExperimentConfig(entries=(("sphere", np.int64(3)),),
+                                  runs_per_entry=np.int32(2), base_seed=np.uint64(2**63))
+        assert config.entries == (("sphere", 3),) and type(config.entries[0][1]) is int
+        assert type(config.runs_per_entry) is int and config.base_seed == 2**63
 
 
 class TestTable2Grid:
@@ -250,10 +270,13 @@ class TestLoadConfig:
         assert config.output_format == "csv"
         assert config.output_path is None
 
-    def test_unknown_key_is_named_in_the_error(self, tmp_path):
+    @pytest.mark.parametrize("key", [
+        "particels", "params", "min_ir", "initial_ex", "per_dimension_rand",
+    ])
+    def test_unknown_key_is_named_in_the_error(self, tmp_path, key):
         path = tmp_path / "exp.json"
-        path.write_text(json.dumps({"entries": [["sphere", 2]], "particels": 3}))
-        with pytest.raises(ConfigurationError, match="particels"):
+        path.write_text(json.dumps({"entries": [["sphere", 2]], key: 0}))
+        with pytest.raises(ConfigurationError, match=key):
             load_config(path)
 
     def test_missing_entries_is_an_error(self, tmp_path):
@@ -273,3 +296,58 @@ class TestLoadConfig:
         path.write_text(json.dumps([1, 2, 3]))
         with pytest.raises(ConfigurationError, match="object"):
             load_config(path)
+
+
+VALID_DOC = {
+    "entries": [["booth", 2], ["sphere", 3]],
+    "runs_per_entry": 2,
+    "base_seed": 1,
+    "num_particles": 4,
+    "max_iterations": 8,
+    "initial_ir": 0.5,
+    "max_ir": 10.0,
+    "ir_floor": 1e-6,
+    "maturity_limit": 3,
+    "rationality_rate": 2,
+    "output_format": "json",
+    "output_path": "out.json",
+}
+
+# Integers inside entries stay small: building a problem allocates per
+# dimension, so a dimension near 10**9 would exhaust memory.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10**4) | st.floats() | st.text(max_size=12)
+    | st.sampled_from(["booth", "sphere", "csv", "json"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+huge_ints = st.sampled_from([2**64, -(2**64), 10**400])
+
+
+@st.composite
+def perturbed_documents(draw):
+    """VALID_DOC with one key dropped, replaced or added, or one entry element replaced."""
+    doc = json.loads(json.dumps(VALID_DOC))
+    key = draw(st.sampled_from([*VALID_DOC, "one entry", "new key"]))
+    if key == "one entry":
+        doc["entries"][draw(st.integers(0, 1))][draw(st.integers(0, 1))] = draw(json_values)
+    elif key == "new key":
+        doc[draw(st.text(max_size=12))] = draw(json_values)
+    elif draw(st.booleans()):
+        del doc[key]
+    else:
+        doc[key] = draw(json_values if key == "entries" else json_values | huge_ints)
+    return doc
+
+
+@given(doc=perturbed_documents())
+@settings(max_examples=300, deadline=None)
+def test_load_config_yields_a_config_or_a_configuration_error(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "property.json"
+    path.write_text(json.dumps(doc))
+    try:
+        config = load_config(path)
+    except ConfigurationError:
+        return
+    assert isinstance(config, ExperimentConfig)
