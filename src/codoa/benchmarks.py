@@ -154,7 +154,7 @@ def make_problem(name: str, dimension: int = 2) -> ObjectiveProblem:
     """Build the named benchmark as a box-constrained problem.
 
     The five two-dimensional functions accept only ``dimension=2``; sphere
-    and rosenbrock accept any ``dimension >= 2``.
+    and rosenbrock accept any ``dimension >= 2`` whose bound lists can be built.
     """
     spec = REGISTRY.get(name)
     if spec is None:
@@ -170,8 +170,11 @@ def make_problem(name: str, dimension: int = 2) -> ObjectiveProblem:
         raise ConfigurationError(
             f"function {name!r} needs dimension >= 2, got dimension={dimension}"
         )
-    bounds = spec.bounds * dimension if len(spec.bounds) == 1 else spec.bounds
-    minimizer = spec.minimizer * dimension if len(spec.minimizer) == 1 else spec.minimizer
+    try:
+        bounds = spec.bounds * dimension if len(spec.bounds) == 1 else spec.bounds
+        minimizer = spec.minimizer * dimension if len(spec.minimizer) == 1 else spec.minimizer
+    except (MemoryError, OverflowError):
+        raise ConfigurationError(f"function {name!r} cannot hold dimension={dimension}") from None
     return ObjectiveProblem(
         dimension=dimension,
         lower_bounds=np.array([b[0] for b in bounds]),

@@ -1,7 +1,7 @@
 """Core CoDOA engine: swarm state, calculation phases, and the run loop.
 
 The Cognitive Development Optimization Algorithm keeps a swarm of particles,
-each carrying a position, a cached fitness, an interactivity rate ``ir`` (the
+each carrying a position, its fitness, an interactivity rate ``ir`` (the
 step scale toward the best point found so far, kept within
 ``[ir_floor, max_ir]``) and a signed experience counter ``ex``, which starts
 at zero.  Each iteration applies a fixed sequence of phases that grow,
@@ -16,7 +16,8 @@ in particle order, one ``draw(k)`` per step that needs ``k`` of them.
 ``problem.evaluator`` maps one point to its fitness.  It may carry a
 ``batch`` attribute mapping a (k, d) array to k fitnesses: the same values,
 bit for bit, as calling the evaluator on each row, or else leave it off.
-Without it, stale rows are evaluated one by one, in index order.
+Particles are evaluated where they move, all moved rows in one call (without
+``batch``, one by one in index order), so ``fit[i]`` is ``f(pos[i])`` always.
 """
 
 from __future__ import annotations
@@ -37,16 +38,16 @@ class ConfigurationError(ValueError):
 
 
 def checked(name: str, value, kind: str):
-    """``value`` as an ``int`` setting (a real integer, not a bool, returned as
-    ``int``) or a ``float`` one (a finite real); other kinds pass unchecked."""
+    """``value`` as an ``int`` setting (a real integer, returned as ``int``) or a
+    ``float`` one (a finite real); bools are neither, other kinds pass unchecked."""
     if kind == "int":
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         return int(value)
     # compared, not math.isfinite(): that raises OverflowError on a huge int
-    if kind == "float" and not (
+    if kind == "float" and (isinstance(value, bool) or not (
         isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
-    ):
+    )):
         raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
     return value
 
@@ -152,16 +153,12 @@ def maximization_problem(
 
 @dataclass(eq=False)
 class SwarmState:
-    """One run: swarm arrays (row i is particle i), best-so-far archive, counters.
-
-    ``fit[i]`` is trusted only while ``stale[i]`` is False.
-    """
+    """One run: swarm arrays (row i is particle i), best-so-far archive, counters."""
 
     pos: np.ndarray
     fit: np.ndarray
     ir: np.ndarray
     ex: np.ndarray
-    stale: np.ndarray
     rng: RandomStream
     global_best_position: Optional[np.ndarray] = None
     global_best_fitness: float = math.inf
@@ -232,41 +229,33 @@ def move_toward_best(
 
     Each coordinate steps a random fraction of ``ir`` times the remaining
     gap, so steps overshoot the target when ``ir`` exceeds 1.  Moved
-    particles are clamped to the box and their fitnesses marked stale.
+    particles are clamped to the box and evaluated.
     """
-    positions = state.pos[selected]
-    k = len(positions)
+    rows = np.flatnonzero(selected)
+    k = len(rows)
     if not k:
         return
-    irs = state.ir[selected]
+    positions = state.pos[rows]
     u = state.rng.draw(k * problem.dimension).reshape(k, problem.dimension)
-    moved = positions + u * (irs[:, None] * (state.global_best_position - positions))
+    moved = positions + u * (state.ir[rows, None] * (state.global_best_position - positions))
     np.clip(moved, problem.lower_bounds, problem.upper_bounds, out=moved)
-    state.pos[selected] = moved
-    state.stale |= selected
+    state.pos[rows] = moved
+    evaluate_swarm(state, problem, rows)
 
 
-def evaluate_swarm(state: SwarmState, problem: ObjectiveProblem) -> None:
-    """Refresh stale fitnesses in one batch call if the evaluator has one; non-finite -> +inf."""
-    rows = np.flatnonzero(state.stale)
-    if not len(rows):
-        return
+def evaluate_swarm(state: SwarmState, problem: ObjectiveProblem, rows: np.ndarray) -> None:
+    """Evaluate the particles at index array ``rows``, batched if possible; non-finite -> +inf."""
     batch = getattr(problem.evaluator, "batch", None)
     if batch is None:
         values = np.array([float(problem.evaluator(x)) for x in state.pos[rows]])
     else:
         values = np.asarray(batch(state.pos[rows]), dtype=float)
     state.fit[rows] = np.where(np.isfinite(values), values, math.inf)
-    state.stale[rows] = False
     state.eval_count += len(rows)
 
 
 def maturation(state: SwarmState, params: AlgorithmParams) -> None:
-    """Boost interactivity of low-experience particles, then reward the best.
-
-    Positions do not change here, so cached fitnesses stay valid and no
-    re-evaluation is needed.
-    """
+    """Boost interactivity of low-experience particles, then reward the best."""
     low = state.ex <= params.maturity_limit
     ir = state.ir[low]
     state.ir[low] = clamp_ir(ir + state.rng.draw(len(ir)) * ir, params)
@@ -292,10 +281,9 @@ def rationalizing(state: SwarmState, params: AlgorithmParams, problem: Objective
         state.ir[positive] = clamp_ir(ir + state.rng.draw(len(ir)) * (b / ir), params)
 
 
-def balancing(state: SwarmState, params: AlgorithmParams, problem: ObjectiveProblem) -> None:
-    """Decay all interactivity, refresh fitnesses, reward the fittest."""
+def balancing(state: SwarmState, params: AlgorithmParams) -> None:
+    """Decay all interactivity, then reward the fittest."""
     decay_all_ir(state, params)
-    evaluate_swarm(state, problem)
     reward_best(state, params)
 
 
@@ -310,10 +298,9 @@ def initialize(params: AlgorithmParams, problem: ObjectiveProblem, seed: int) ->
         fit=np.full(n, math.inf),
         ir=np.full(n, float(params.initial_ir)),
         ex=np.zeros(n, dtype=np.int64),
-        stale=np.ones(n, dtype=bool),
         rng=rng,
     )
-    evaluate_swarm(state, problem)
+    evaluate_swarm(state, problem, np.arange(n))
     reward_best(state, params)
     return state
 
@@ -321,18 +308,17 @@ def initialize(params: AlgorithmParams, problem: ObjectiveProblem, seed: int) ->
 def iterate(state: SwarmState, params: AlgorithmParams, problem: ObjectiveProblem) -> None:
     """One full pass of the per-iteration phase sequence.
 
-    Order: socialization, interactivity decay, move toward best (all but the
-    best holder), evaluate + reward, maturation, rationalizing, balancing.
+    Order: socialization, interactivity decay, move (and evaluate) all but the
+    best holder, reward, maturation, rationalizing, balancing.
     """
     socialization(state, params)
     decay_all_ir(state, params)
     others = np.arange(len(state.fit)) != state.best_holder_index
     move_toward_best(state, problem, others)
-    evaluate_swarm(state, problem)
     reward_best(state, params)
     maturation(state, params)
     rationalizing(state, params, problem)
-    balancing(state, params, problem)
+    balancing(state, params)
     state.history.append(state.global_best_fitness)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -230,10 +231,19 @@ def write_report(report: ExperimentReport, output_format: str, destination=None)
     """Write the report as CSV or JSON to a path, or to stdout if none given."""
     check_format(output_format)
     if destination is None:
-        _emit(report, output_format, sys.stdout)
-    else:
-        with open(destination, "w", newline="") as fh:
+        return _emit(report, output_format, sys.stdout)
+    if os.path.islink(destination) or os.path.exists(destination) != os.path.isfile(destination):
+        with open(destination, "w", newline="") as fh:  # a symlink, device or FIFO: in place
+            return _emit(report, output_format, fh)
+    partial = f"{destination}.{os.getpid()}.part"  # beside it, so os.replace is atomic
+    fh = open(partial, "x", newline="")
+    try:
+        with fh:
             _emit(report, output_format, fh)
+        os.replace(partial, destination)
+    except BaseException:
+        os.remove(partial)
+        raise
 
 
 def _emit(report: ExperimentReport, output_format: str, fh) -> None:

@@ -52,9 +52,8 @@ def make_state(fitness, ir=None, ex=None, positions=None, rng=None,
                gbest_pos=None, gbest_fit=None, holder=None) -> SwarmState:
     """Assemble a SwarmState by hand for phase-level tests.
 
-    Every fitness starts valid (nothing stale).  Unless given explicitly,
-    the archive is derived from the fittest particle, matching the state
-    right after an initialize.
+    Unless given explicitly, the archive is derived from the fittest
+    particle, matching the state right after an initialize.
     """
     n = len(fitness)
     ir = [0.5] * n if ir is None else ir
@@ -66,7 +65,6 @@ def make_state(fitness, ir=None, ex=None, positions=None, rng=None,
         fit=np.array(fitness, dtype=float),
         ir=np.array(ir, dtype=float),
         ex=np.array(ex, dtype=np.int64),
-        stale=np.zeros(n, dtype=bool),
         rng=rng if rng is not None else PinnedStream(0.5),
     )
     if gbest_fit is None:
@@ -130,7 +128,10 @@ def assert_ir_and_bounds(state, params, problem) -> None:
 def assert_iteration_boundary(state, params, problem) -> None:
     """Full invariant set that must hold between iterations."""
     assert_ir_and_bounds(state, params, problem)
-    assert not state.stale.any(), "stale cache at boundary"
+    for i, x in enumerate(state.pos):
+        value = float(problem.evaluator(x))
+        expected = value if math.isfinite(value) else math.inf
+        assert state.fit[i] == expected, f"fit[{i}] is not the fitness of pos[{i}]"
     assert state.global_best_fitness <= state.fit.min(), "archive above swarm minimum"
     value = float(problem.evaluator(state.global_best_position))
     assert abs(state.global_best_fitness - value) <= 1e-12, "archive fitness mismatch"

@@ -159,7 +159,7 @@ class TestInvariantSuite:
                 previous = state.global_best_fitness
                 assert_iteration_boundary(state, params, problem)
 
-            # op-level conservation laws on the final (cache-valid) state
+            # op-level conservation laws on the final state
             snapshot = copy.deepcopy(state)
             mean = math.fsum(snapshot.fit.tolist()) / len(snapshot.fit)
             expected_gain = sum(1 for f in snapshot.fit if f < mean)

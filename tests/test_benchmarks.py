@@ -165,6 +165,13 @@ class TestMakeProblem:
         with pytest.raises(ConfigurationError, match="dimension"):
             make_problem(name, 1)
 
+    @pytest.mark.parametrize("name", ["sphere", "rosenbrock"])
+    @pytest.mark.parametrize("dimension", [2**62, 2**63, 2**64, 10**400],
+                             ids=["2**62", "2**63", "2**64", "10**400"])
+    def test_dimension_beyond_an_array_length_is_rejected(self, name, dimension):
+        with pytest.raises(ConfigurationError, match=f"dimension={dimension}"):
+            make_problem(name, dimension)
+
     def test_registry_lists_all_seven(self):
         assert list(REGISTRY) == [
             "booth",

@@ -1,8 +1,13 @@
 """Phase-level tests with the random stream pinned to hand-computable values."""
 
+import importlib.util
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from codoa import engine
 from codoa.benchmarks import make_problem
 from codoa.engine import (
     AlgorithmParams,
@@ -21,6 +26,17 @@ from support import PinnedStream, SequenceStream, box_problem, make_state, mask
 
 
 PARAMS = AlgorithmParams()
+
+
+def test_every_phase_the_benchmark_traces_is_an_engine_function():
+    # perfbench wraps engine phases by name; a renamed phase would read "absent" there
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert len(tracer.ENGINE_PHASES) == 10
+    for name in tracer.ENGINE_PHASES:
+        assert inspect.isfunction(getattr(engine, name, None)), name
 
 
 class TestSocialization:
@@ -75,7 +91,8 @@ class TestMoveTowardBest:
                            positions=[[1.0], [3.0]], rng=PinnedStream(0.5))
         move_toward_best(state, problem, mask(2, 0))
         assert state.pos[0, 0] == pytest.approx(1.5)
-        assert state.stale[0]
+        assert state.fit.tolist() == [problem.evaluator(state.pos[0]), 0.0]
+        assert state.eval_count == 1
 
     def test_particle_at_the_best_point_stays_put(self):
         problem = box_problem([-10.0, -10.0], [10.0, 10.0])
@@ -117,9 +134,10 @@ class TestMoveTowardBest:
         holder = state.best_holder_index
         move_toward_best(state, problem, ~mask(3, holder))
         np.testing.assert_array_equal(state.pos[0], [5.0, 5.0])
-        assert not state.stale[0]
         np.testing.assert_array_equal(state.pos[1], [0.5, 0.5])
         np.testing.assert_array_equal(state.pos[2], [1.0, 1.0])
+        assert state.fit.tolist() == [0.5, 0.5, 2.0]  # holder keeps its fitness
+        assert state.eval_count == 2
 
     def test_moves_are_clamped_into_the_box(self):
         problem = box_problem([-1.0], [1.0])
@@ -192,8 +210,9 @@ class TestRationalizing:
         rationalizing(state, AlgorithmParams(rationality_rate=0), problem)
         # 0.5 + 0.5 * (2.0 / 0.5) = 2.5, then the particle moves toward the best
         assert state.ir[0] == pytest.approx(2.5)
-        assert state.stale[0]
         assert state.pos[0, 0] < 4.0
+        assert state.fit[0] == problem.evaluator(state.pos[0])
+        assert state.eval_count == 1
 
     def test_zero_rationality_rate_skips_non_negative_particles(self):
         problem = box_problem([-10.0, -10.0], [10.0, 10.0])
@@ -214,7 +233,7 @@ class TestRationalizing:
         assert state.ir[0] == pytest.approx(2.5)
         assert state.ir[1] == pytest.approx(2.5)
 
-    def test_moved_and_unmoved_caches(self):
+    def test_only_moved_particles_are_evaluated(self):
         problem = box_problem([-10.0, -10.0], [10.0, 10.0])
         state = make_state(fitness=[2.0, 1.0, 3.0], ir=[0.5, 2.0, 1.0],
                            ex=[-2, 5, 0],
@@ -222,34 +241,22 @@ class TestRationalizing:
                            gbest_pos=[0.0, 0.0], gbest_fit=1.0, holder=1,
                            rng=PinnedStream(0.5))
         rationalizing(state, PARAMS, problem)
-        assert state.stale[0]      # moved
-        assert not state.stale[1]      # ex >= 0, boost only
-        assert not state.stale[2]
+        assert state.fit[0] == problem.evaluator(state.pos[0])  # moved
+        assert state.fit[1:].tolist() == [1.0, 3.0]  # ex >= 0, boost only
+        assert state.eval_count == 1
 
 
 class TestBalancing:
-    def test_without_moves_no_new_evaluations(self):
-        problem = make_problem("sphere", 2)
+    def test_decays_then_rewards_without_evaluating(self):
         state = make_state(fitness=[1.0, 4.0], ir=[0.4, 0.8],
                            positions=[[1.0, 0.0], [2.0, 0.0]],
                            rng=PinnedStream(0.5))
-        balancing(state, PARAMS, problem)
+        balancing(state, PARAMS)
         assert state.eval_count == 0
         # decay halves both, then the reward boosts the fittest back up
         assert state.ir[0] == pytest.approx(0.3)
         assert state.ir[1] == pytest.approx(0.4)
         assert state.ex[0] == 1
-
-    def test_refreshes_stale_caches_before_rewarding(self):
-        problem = make_problem("sphere", 2)
-        state = make_state(fitness=[1.0, 4.0], ir=[0.4, 0.8],
-                           positions=[[1.0, 0.0], [0.5, 0.0]],
-                           rng=PinnedStream(0.5))
-        state.stale[1] = True
-        balancing(state, PARAMS, problem)
-        assert state.eval_count == 1
-        assert state.fit[1] == 0.25
-        assert state.global_best_fitness == 0.25  # re-evaluated particle wins
 
     def test_archive_never_worsens(self):
         problem = make_problem("booth", 2)
@@ -257,7 +264,7 @@ class TestBalancing:
         for seed in range(15):
             state = initialize(params, problem, seed=seed)
             before = state.global_best_fitness
-            balancing(state, params, problem)
+            balancing(state, params)
             assert state.global_best_fitness <= before
 
 

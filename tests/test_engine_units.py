@@ -1,4 +1,4 @@
-"""Unit tests for params validation, the ir clamp, caches, initialize, and run."""
+"""Unit tests for params validation, the ir clamp, evaluation, initialize, and run."""
 
 import dataclasses
 import math
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from codoa.benchmarks import make_problem
+from codoa.benchmarks import REGISTRY, make_problem
 from codoa.engine import (
     AlgorithmParams,
     ConfigurationError,
@@ -76,6 +76,7 @@ class TestAlgorithmParams:
     @pytest.mark.parametrize("field", ["initial_ir", "max_ir", "ir_floor"])
     @pytest.mark.parametrize("value", [
         math.inf, -math.inf, math.nan, 1e309, pytest.param(10**400, id="10**400"), "0.5", None,
+        True,
     ])
     def test_interactivity_fields_must_be_finite_numbers(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
@@ -167,38 +168,31 @@ class TestRewardBest:
 class TestEvaluateSwarm:
     def test_sphere_origin_has_zero_fitness(self):
         state = make_state(fitness=[math.inf], positions=[[0.0, 0.0]])
-        state.stale[0] = True
-        evaluate_swarm(state, make_problem("sphere", 2))
+        evaluate_swarm(state, make_problem("sphere", 2), np.array([0]))
         assert state.fit[0] == 0.0
-        assert not state.stale[0]
+        assert state.eval_count == 1
 
-    def test_only_stale_caches_are_recomputed(self):
+    def test_only_the_given_rows_are_evaluated(self):
         state = make_state(fitness=[1.0, 2.0, 3.0],
                            positions=[[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-        state.stale[1] = True
-        evaluate_swarm(state, make_problem("sphere", 2))
+        evaluate_swarm(state, make_problem("sphere", 2), np.array([1]))
         assert state.eval_count == 1
-        assert state.fit[1] == 4.0
-        assert state.fit[0] == 1.0  # untouched cache
+        assert state.fit.tolist() == [1.0, 4.0, 3.0]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_become_plus_infinity(self, bad):
         problem = box_problem([-1.0], [1.0], evaluator=lambda x: bad)
         state = make_state(fitness=[0.0], positions=[[0.0]])
-        state.stale[0] = True
-        evaluate_swarm(state, problem)
+        evaluate_swarm(state, problem, np.array([0]))
         assert state.fit[0] == math.inf
-        assert not state.stale[0]
 
 
 class TestEvaluationPaths:
     @staticmethod
-    def _stale_state(positions):
-        state = make_state(fitness=[math.inf] * len(positions), positions=positions)
-        state.stale[:] = True
-        return state
+    def _unevaluated_state(positions):
+        return make_state(fitness=[math.inf] * len(positions), positions=positions)
 
-    def test_batch_form_gets_all_stale_rows_in_one_call(self):
+    def test_batch_form_gets_all_given_rows_in_one_call(self):
         calls = []
 
         def objective(x):
@@ -209,9 +203,8 @@ class TestEvaluationPaths:
             return np.square(points).sum(axis=1)
 
         objective.batch = batch
-        state = self._stale_state([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-        state.stale[1] = False
-        evaluate_swarm(state, box_problem([-5.0, -5.0], [5.0, 5.0], objective))
+        state = self._unevaluated_state([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        evaluate_swarm(state, box_problem([-5.0, -5.0], [5.0, 5.0], objective), np.array([0, 2]))
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0], [[1.0, 0.0], [3.0, 0.0]])
         assert state.fit.tolist() == [1.0, math.inf, 9.0]
@@ -224,8 +217,8 @@ class TestEvaluationPaths:
             seen.append(float(x[0]))
             return float(x[0])
 
-        state = self._stale_state([[3.0], [1.0], [2.0]])
-        evaluate_swarm(state, box_problem([-5.0], [5.0], objective))
+        state = self._unevaluated_state([[3.0], [1.0], [2.0]])
+        evaluate_swarm(state, box_problem([-5.0], [5.0], objective), np.arange(3))
         assert seen == [3.0, 1.0, 2.0]
         assert state.fit.tolist() == [3.0, 1.0, 2.0]
         assert state.eval_count == 3
@@ -239,8 +232,8 @@ class TestEvaluationPaths:
         maximized = maximization_problem(2, [-5.0, -5.0], [5.0, 5.0], objective)
         swapped = dataclasses.replace(plain, evaluator=lambda x: objective(x) + 1.0)
         for problem, expected in ((maximized, [-1.0, -4.0]), (swapped, [2.0, 5.0])):
-            state = self._stale_state([[1.0, 0.0], [2.0, 0.0]])
-            evaluate_swarm(state, problem)
+            state = self._unevaluated_state([[1.0, 0.0], [2.0, 0.0]])
+            evaluate_swarm(state, problem, np.arange(2))
             assert state.fit.tolist() == expected
 
     @pytest.mark.parametrize("path", ["batch", "rows"])
@@ -252,11 +245,18 @@ class TestEvaluationPaths:
 
         if path == "batch":
             objective.batch = lambda points: np.array([values[int(r[0])] for r in points])
-        state = self._stale_state([[0.0], [1.0], [2.0], [3.0]])
-        evaluate_swarm(state, box_problem([-5.0], [5.0], objective))
+        state = self._unevaluated_state([[0.0], [1.0], [2.0], [3.0]])
+        evaluate_swarm(state, box_problem([-5.0], [5.0], objective), np.arange(4))
         assert state.fit.tolist() == [math.inf, math.inf, math.inf, 1.5]
-        assert not state.stale.any()
         assert state.eval_count == 4
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_row_path_matches_batch_path_end_to_end(self, name):
+        problem = make_problem(name, REGISTRY[name].fixed_dimension or 5)
+        assert hasattr(problem.evaluator, "batch")
+        rows_only = dataclasses.replace(problem, evaluator=lambda x: problem.evaluator(x))
+        params = AlgorithmParams(num_particles=20, max_iterations=30)
+        assert run(params, rows_only, seed=3) == run(params, problem, seed=3)
 
 
 class TestInitialize:
@@ -266,7 +266,7 @@ class TestInitialize:
         state = initialize(params, problem, seed=11)
         assert state.pos.shape == (50, 2)
         assert np.all(state.pos >= -10.0) and np.all(state.pos <= 10.0)
-        assert not state.stale.any()
+        assert state.fit.tolist() == [problem.evaluator(x) for x in state.pos]
         assert state.eval_count == 50
 
     def test_initial_archive_is_swarm_minimum(self):

@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from codoa import harness
 from codoa.benchmarks import make_problem
 from codoa.engine import AlgorithmParams, ConfigurationError, run
 from codoa.harness import (
@@ -119,6 +122,10 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError, match=field):
             ExperimentConfig(**{"entries": (("booth", 2),), **kwargs})
 
+    def test_huge_entry_dimension_is_rejected_naming_it(self):
+        with pytest.raises(ConfigurationError, match=f"dimension={2**64}"):
+            ExperimentConfig(entries=(("sphere", 2**64),))
+
     def test_numpy_integers_are_accepted_as_plain_ints(self):
         config = ExperimentConfig(entries=(("sphere", np.int64(3)),),
                                   runs_per_entry=np.int32(2), base_seed=np.uint64(2**63))
@@ -213,6 +220,55 @@ class TestWriteReport:
         with pytest.raises(ConfigurationError, match="output_format"):
             write_report(small_report, "yaml", None)
 
+    def test_replaces_an_existing_report(self, small_report, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_text("previous report\n")
+        write_report(small_report, "csv", path)
+        assert path.read_text().startswith(",".join(REPORT_COLUMNS))
+        assert os.listdir(tmp_path) == ["report.csv"]
+
+    def test_writes_into_a_fifo_in_place(self, small_report, tmp_path):
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so opening to write won't block
+        try:
+            write_report(small_report, "csv", fifo)
+            written = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert written.startswith(",".join(REPORT_COLUMNS))
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["report.fifo"]
+
+    def test_writes_through_a_symlink(self, small_report, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("previous report\n")
+        link = tmp_path / "report.csv"
+        link.symlink_to(target)
+        write_report(small_report, "csv", link)
+        assert link.is_symlink()
+        assert target.read_text().startswith(",".join(REPORT_COLUMNS))
+        assert sorted(os.listdir(tmp_path)) == ["report.csv", "target.csv"]
+
+    @pytest.mark.parametrize("existing", [b"previous report\n", None])
+    def test_failed_write_leaves_no_partial_file(self, small_report, tmp_path, monkeypatch,
+                                                 existing):
+        path = tmp_path / "report.csv"
+        if existing is not None:
+            path.write_bytes(existing)
+
+        def failing_row(report, entry):  # _emit has written the header by now
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness, "_entry_row", failing_row)
+        with pytest.raises(OSError, match="disk full"):
+            write_report(small_report, "csv", path)
+        if existing is None:
+            assert os.listdir(tmp_path) == []
+        else:
+            assert path.read_bytes() == existing
+            assert os.listdir(tmp_path) == ["report.csv"]
+
 
 class TestRunStatistics:
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
@@ -289,6 +345,19 @@ class TestLoadConfig:
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({"entries": [["booth", 5]]}))
         with pytest.raises(ConfigurationError, match="booth"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("max_ir", True, "max_ir"),
+        ("initial_ir", True, "initial_ir"),
+        ("entries", [["sphere", 2**64]], f"dimension={2**64}"),
+        ("entries", [["sphere", 2**62]], f"dimension={2**62}"),
+    ])
+    def test_bool_interactivity_and_huge_dimension_are_rejected(self, tmp_path, key, value,
+                                                                named):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"entries": [["sphere", 2]], key: value}))
+        with pytest.raises(ConfigurationError, match=named):
             load_config(path)
 
     def test_non_object_document_is_rejected(self, tmp_path):
