@@ -86,7 +86,7 @@ def _pair(f: Callable[[float, float], float]) -> Callable[[np.ndarray], float]:
 
     # Python floats, not numpy: their ``**`` calls the C library's ``pow``,
     # which numpy's power does not match in the last bit.
-    evaluator.batch = lambda points: np.array([f(x, y) for x, y in points.tolist()])
+    evaluator.batch = lambda points: np.array(list(map(f, *points.T.tolist())))
     return evaluator
 
 

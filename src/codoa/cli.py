@@ -1,6 +1,7 @@
 """Command-line front end: single runs, the full benchmark grid, and listing.
 
-Exit codes: 0 on success, 1 on configuration, usage, or I/O errors.
+Exit codes: 0 on success, 1 on configuration, usage, or I/O errors, or on
+an interrupt (Ctrl-C), which leaves no report behind.
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=REPORT_FORMATS, default=ExperimentConfig.output_format,
                      help="report format (default %(default)s)")
     sub.add_argument("--out", metavar="PATH", help="report destination (default stdout)")
+    sub.add_argument("--workers", type=int, default=1,
+                     help="worker processes; 1 runs serially (default %(default)s)")
 
 
 def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
@@ -102,7 +105,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
         output_format=ns.format,
         output_path=ns.out,
     )
-    report = run_experiment(config)
+    report = run_experiment(config, workers=ns.workers)
     if ns.out is not None:
         write_report(report, ns.format, ns.out)
         return 0
@@ -127,7 +130,7 @@ def cmd_table2(ns: argparse.Namespace) -> int:
         output_format=ns.format,
         output_path=ns.out,
     )
-    report = run_experiment(config)
+    report = run_experiment(config, workers=ns.workers)
     write_report(report, config.output_format, config.output_path)
     return 0
 
@@ -152,6 +155,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return ns.handler(ns)
     except (ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:  # reports are written only once every run is done
+        print("interrupted", file=sys.stderr)
         return 1
 
 

@@ -11,7 +11,8 @@ archived global best.  Minimization only; maximize by negating the objective
 
 The swarm is held as arrays with a row per particle (see :class:`SwarmState`),
 and each phase is a few masked array expressions.  Random factors are drawn
-in particle order, one ``draw(k)`` per step that needs ``k`` of them.
+in particle order, one ``draw(k)`` per step that needs ``k`` of them (the
+repeated rationalizing boosts are one step).
 
 ``problem.evaluator`` maps one point to its fitness.  It may carry a
 ``batch`` attribute mapping a (k, d) array to k fitnesses: the same values,
@@ -190,10 +191,10 @@ def reward_best(state: SwarmState, params: AlgorithmParams) -> None:
     Ties break to the lowest index.  The global-best archive (and with it the
     best-holder index) moves only on strict improvement.
     """
-    best_i = int(np.argmin(state.fit))
-    best_f = float(state.fit[best_i])
-    ir = state.ir
-    ir[best_i] = clamp_ir(ir[best_i] + state.rng.next() * ir[best_i], params)
+    best_i = state.fit.argmin().item()
+    best_f = state.fit[best_i].item()
+    ir = state.ir[best_i].item()
+    state.ir[best_i] = min(max(ir + state.rng.next() * ir, params.ir_floor), params.max_ir)
     state.ex[best_i] += 1
     if state.best_holder_index is None or best_f < state.global_best_fitness:
         state.global_best_position = state.pos[best_i].copy()
@@ -231,26 +232,30 @@ def move_toward_best(
     gap, so steps overshoot the target when ``ir`` exceeds 1.  Moved
     particles are clamped to the box and evaluated.
     """
-    rows = np.flatnonzero(selected)
+    rows = selected.nonzero()[0]
     k = len(rows)
     if not k:
         return
-    positions = state.pos[rows]
+    positions = state.pos.take(rows, axis=0)  # pos[rows], at a fraction of the indexing cost
     u = state.rng.draw(k * problem.dimension).reshape(k, problem.dimension)
-    moved = positions + u * (state.ir[rows, None] * (state.global_best_position - positions))
-    np.clip(moved, problem.lower_bounds, problem.upper_bounds, out=moved)
+    moved = positions + u * (state.ir[rows][:, None] * (state.global_best_position - positions))
+    np.maximum(moved, problem.lower_bounds, out=moved)  # np.clip without its Python wrapper
+    np.minimum(moved, problem.upper_bounds, out=moved)
     state.pos[rows] = moved
     evaluate_swarm(state, problem, rows)
 
 
 def evaluate_swarm(state: SwarmState, problem: ObjectiveProblem, rows: np.ndarray) -> None:
     """Evaluate the particles at index array ``rows``, batched if possible; non-finite -> +inf."""
+    points = state.pos.take(rows, axis=0)
     batch = getattr(problem.evaluator, "batch", None)
     if batch is None:
-        values = np.array([float(problem.evaluator(x)) for x in state.pos[rows]])
+        values = np.array([float(problem.evaluator(x)) for x in points])
     else:
-        values = np.asarray(batch(state.pos[rows]), dtype=float)
-    state.fit[rows] = np.where(np.isfinite(values), values, math.inf)
+        values = np.asarray(batch(points), dtype=float)
+    if not math.isfinite(values.sum()):  # finite unless some value is (or the sum overflows)
+        values = np.where(np.isfinite(values), values, math.inf)
+    state.fit[rows] = values
     state.eval_count += len(rows)
 
 
@@ -268,7 +273,8 @@ def rationalizing(state: SwarmState, params: AlgorithmParams, problem: Objective
     The reference interactivity is read once up front: the repeated boosts
     for non-negative-experience particles must not chase their own updates.
     Negative-experience particles get one boost and a move toward the best;
-    the rest get the boost ``rationality_rate`` times.
+    the rest get the boost ``rationality_rate`` times, pass ``r`` taking
+    row ``r`` of one draw.
     """
     b = state.ir[state.best_holder_index]
     negative = state.ex < 0
@@ -276,9 +282,11 @@ def rationalizing(state: SwarmState, params: AlgorithmParams, problem: Objective
     state.ir[negative] = clamp_ir(ir + state.rng.draw(len(ir)) * (b / ir), params)
     move_toward_best(state, problem, negative)
     positive = ~negative
-    for _ in range(params.rationality_rate):
-        ir = state.ir[positive]
-        state.ir[positive] = clamp_ir(ir + state.rng.draw(len(ir)) * (b / ir), params)
+    ir = state.ir[positive]
+    m = len(ir)
+    for u in state.rng.draw(m * params.rationality_rate).reshape(params.rationality_rate, m):
+        ir = clamp_ir(ir + u * (b / ir), params)
+    state.ir[positive] = ir
 
 
 def balancing(state: SwarmState, params: AlgorithmParams) -> None:

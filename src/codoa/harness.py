@@ -13,7 +13,6 @@ import json
 import os
 import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
@@ -136,20 +135,27 @@ def _run_job(job: tuple[str, int, AlgorithmParams, int]) -> RunResult:
     return run(params, make_problem(name, dimension), seed)
 
 
-def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     """Execute every entry of the experiment and collect statistics.
 
-    ``workers`` > 1 runs the independent (entry, run) jobs in a process
-    pool; results are collected in (entry index, run index) order, so the
-    report is identical to a serial execution.
+    ``workers`` is an integer of at least 1.  Above 1, the independent
+    (entry, run) jobs run in a process pool of at most one process per job;
+    results are collected in (entry index, run index) order, so the report
+    is identical to a serial execution.
     """
+    workers = checked("workers", workers, "int")
+    if workers < 1:
+        raise ConfigurationError(f"workers must be at least 1, got {workers}")
     seeds = [config.base_seed + k for k in range(config.runs_per_entry)]
     jobs = [
         (name, dim, config.params, seed)
         for name, dim in config.entries
         for seed in seeds
     ]
-    if workers is not None and workers > 1:
+    workers = min(workers, len(jobs))  # the pool starts every process it may use at once
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing: only here
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_job, jobs))
     else:

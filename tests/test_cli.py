@@ -25,6 +25,7 @@ class TestParsing:
         assert ns.seed == 7
         assert ns.format == "csv"
         assert ns.out is None
+        assert ns.workers == 1
 
     def test_parse_defaults_match_algorithm_defaults(self):
         ns = parse_args(["run", "--function", "booth"])
@@ -80,6 +81,21 @@ class TestExitCodes:
         assert main(["run", "--function", "warp"]) == 1
         assert "warp" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", [["run", "--function", "booth"], ["table2"]])
+    def test_zero_workers_exits_one_and_names_the_field(self, subcommand, capsys):
+        assert main(subcommand + ["--workers", "0"]) == 1
+        assert "workers" in capsys.readouterr().err
+
+    def test_interrupt_exits_one_and_leaves_no_report(self, tmp_path, monkeypatch, capsys):
+        def interrupted(config, workers):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("codoa.cli.run_experiment", interrupted)
+        target = tmp_path / "grid.csv"
+        assert main(["table2", "--runs", "1", "--out", str(target)]) == 1
+        assert "interrupted" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # neither the report nor a .part file
+
     def test_unwritable_output_exits_one(self, tmp_path, capsys):
         target = tmp_path / "missing_dir" / "r.csv"
         code = main(["run", "--function", "booth", "--particles", "4",
@@ -112,6 +128,13 @@ class TestCmdRun:
         assert parsed["entries"][0]["function"] == "sphere"
         assert parsed["entries"][0]["dimension"] == 4
         assert parsed["params"]["num_particles"] == 4
+
+    def test_worker_pool_prints_the_serial_summary(self, capsys):
+        args = ["run", "--function", "booth", "--iterations", "5", "--runs", "3"]
+        assert main(args + ["--workers", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert main(args + ["--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
 
     def test_seed_controls_reproducibility(self, tmp_path):
         args = ["run", "--function", "beale", "--particles", "4",

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from codoa.benchmarks import REGISTRY, make_problem
 from codoa.engine import (
@@ -19,7 +19,7 @@ from codoa.engine import (
     reward_best,
     run,
 )
-from codoa.rng import RandomStream
+from codoa.rng import _BLOCK, RandomStream
 
 from support import PinnedStream, box_problem, make_state
 
@@ -345,3 +345,47 @@ class TestRandomStream:
         wide = RandomStream(5 + 2**64)
         assert wide.seed == 5 + 2**64
         assert wide.next() != RandomStream(5).next()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        calls=st.lists(
+            st.one_of(
+                st.none(),  # next()
+                st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]),
+                st.integers(min_value=0, max_value=3 * _BLOCK),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_any_interleaving_yields_the_generator_sequence(self, seed, calls):
+        stream = RandomStream(seed)
+        got = []
+        for n in calls:
+            if n is None:
+                value = stream.next()
+                assert type(value) is float
+                got.append(value)
+            else:
+                values = stream.draw(n)
+                assert values.shape == (n,)
+                got.extend(values.tolist())
+        expected = np.random.default_rng(seed).random(len(got))
+        assert np.array_equal(np.array(got), expected)
+
+    def test_next_does_not_go_through_draw(self, monkeypatch):
+        stream = RandomStream(4)
+        monkeypatch.setattr(RandomStream, "draw", lambda self, n: pytest.fail("next() drew"))
+        values = [stream.next() for _ in range(_BLOCK + 2)]  # crosses a block boundary
+        assert values == np.random.default_rng(4).random(_BLOCK + 2).tolist()
+
+    def test_drawn_arrays_keep_their_values(self):
+        stream = RandomStream(8)
+        first = stream.draw(_BLOCK - 1)
+        kept = first.copy()
+        stream.draw(2 * _BLOCK)
+        assert np.array_equal(first, kept)
+
+    def test_negative_draw_is_rejected(self):
+        with pytest.raises(ValueError):
+            RandomStream(1).draw(-1)

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -92,6 +94,48 @@ class TestRunExperiment:
 
     def test_worker_pool_matches_serial_execution(self, small_config):
         assert run_experiment(small_config, workers=2) == run_experiment(small_config)
+
+    @pytest.mark.parametrize("workers", [2.5, "2", 0, -1, True, None])
+    def test_rejects_bad_worker_counts_naming_the_field(self, small_config, workers):
+        with pytest.raises(ConfigurationError, match="workers"):
+            run_experiment(small_config, workers=workers)
+
+    @pytest.mark.parametrize("workers, expected", [(2, 2), (7, 6)])
+    def test_pool_holds_at_most_one_process_per_job(self, small_config, monkeypatch,
+                                                     workers, expected):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+        assert run_experiment(small_config, workers=workers) == run_experiment(small_config)
+        assert sizes == [expected]  # 2 entries x 3 runs: 6 jobs
+
+    def test_single_job_runs_without_a_pool(self, monkeypatch):
+        def no_pool(**kwargs):
+            raise AssertionError("a pool was started for one job")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        config = ExperimentConfig(entries=(("booth", 2),), runs_per_entry=1, params=SMALL_PARAMS)
+        assert run_experiment(config, workers=2) == run_experiment(config)
+
+    def test_importing_codoa_does_not_import_multiprocessing(self):
+        code = "import sys, codoa; print(any(m.startswith('multiprocessing') for m in sys.modules))"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "False"
 
     def test_invalid_entry_fails_before_any_run(self):
         with pytest.raises(ConfigurationError, match="booth"):
