@@ -13,7 +13,6 @@ from codoa.engine import (
     SwarmState,
     initialize,
     iterate,
-    maximization_problem,
     run,
 )
 from codoa.harness import (
@@ -47,7 +46,6 @@ __all__ = [
     "iterate",
     "load_config",
     "make_problem",
-    "maximization_problem",
     "run",
     "run_experiment",
     "table2_grid",

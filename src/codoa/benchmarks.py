@@ -106,24 +106,6 @@ class BenchmarkSpec:
     minimizer: tuple[float, ...]
     func: Callable[[np.ndarray], float]
 
-    def domain_label(self) -> str:
-        """Human-readable search domain, e.g. ``x,y in [-10, 10]``."""
-        if len(self.bounds) == 1:
-            lo, hi = self.bounds[0]
-            if self.fixed_dimension is None:
-                return f"each x_i in [{lo:g}, {hi:g}], n >= 2"
-            return f"x,y in [{lo:g}, {hi:g}]"
-        parts = [
-            f"{var} in [{lo:g}, {hi:g}]"
-            for var, (lo, hi) in zip("xyzw", self.bounds)
-        ]
-        return ", ".join(parts)
-
-    def minimizer_label(self) -> str:
-        if self.fixed_dimension is None:
-            return "(" + ", ".join(f"{v:g}" for v in self.minimizer) + ", ...)"
-        return "(" + ", ".join(f"{v:g}" for v in self.minimizer) + ")"
-
 
 REGISTRY: dict[str, BenchmarkSpec] = {
     spec.name: spec

@@ -112,12 +112,11 @@ def cmd_run(ns: argparse.Namespace) -> int:
     entry = report.entries[0]
     s = entry.stats
     print(f"function={entry.function} dimension={entry.dimension} "
-          f"runs={report.runs_per_entry} base_seed={report.base_seed}")
-    print(_params_line(report.params))
+          f"runs={config.runs_per_entry} base_seed={config.base_seed}")
+    print(_params_line(params))
     print(f"best={s.best:.9g} worst={s.worst:.9g} mean={s.mean:.9g} "
           f"median={s.median:.9g} stddev={s.stddev:.9g}")
-    if entry.known_minimum is not None:
-        print(f"known_minimum={entry.known_minimum:.9g} abs_error={entry.abs_error:.9g}")
+    print(f"known_minimum={entry.known_minimum:.9g} abs_error={entry.abs_error:.9g}")
     return 0
 
 
@@ -136,12 +135,15 @@ def cmd_table2(ns: argparse.Namespace) -> int:
 
 
 def cmd_list(ns: argparse.Namespace) -> int:
-    """Print one line per benchmark function: name, domain, known minimum."""
+    """Print one line per benchmark function: dimension, box, known minimum, minimizer.
+
+    A box or minimizer given for one coordinate holds for every coordinate.
+    """
     for spec in REGISTRY.values():
-        print(
-            f"{spec.name:<18} {spec.domain_label():<32} "
-            f"min {spec.known_minimum_value:g} at {spec.minimizer_label()}"
-        )
+        dims = f"n = {spec.fixed_dimension}" if spec.fixed_dimension else "n >= 2"
+        box = ", ".join(f"[{lo:g}, {hi:g}]" for lo, hi in spec.bounds)
+        at = ", ".join(f"{v:g}" for v in spec.minimizer)
+        print(f"{spec.name:<18} {dims:<7} {box:<19} min {spec.known_minimum_value:g} at ({at})")
     return 0
 
 

@@ -6,8 +6,7 @@ step scale toward the best point found so far, kept within
 ``[ir_floor, max_ir]``) and a signed experience counter ``ex``, which starts
 at zero.  Each iteration applies a fixed sequence of phases that grow,
 decay, and redistribute interactivity while particles drift toward the
-archived global best.  Minimization only; maximize by negating the objective
-(see :func:`maximization_problem`).
+archived global best.  Minimization only; to maximize f, minimize -f.
 
 The swarm is held as arrays with a row per particle (see :class:`SwarmState`),
 and each phase is a few masked array expressions.  Random factors are drawn
@@ -127,29 +126,6 @@ class ObjectiveProblem:
             object.__setattr__(
                 self, "known_minimizer", np.asarray(self.known_minimizer, dtype=float)
             )
-
-
-def maximization_problem(
-    dimension: int,
-    lower_bounds,
-    upper_bounds,
-    evaluator: Callable[[np.ndarray], float],
-    known_maximum_value: Optional[float] = None,
-    known_maximizer=None,
-) -> ObjectiveProblem:
-    """Wrap a maximization target as minimize(-f).
-
-    The engine itself only minimizes; fitnesses reported for the returned
-    problem are the negated objective values.
-    """
-    return ObjectiveProblem(
-        dimension=dimension,
-        lower_bounds=lower_bounds,
-        upper_bounds=upper_bounds,
-        evaluator=lambda x: -evaluator(x),
-        known_minimum_value=None if known_maximum_value is None else -known_maximum_value,
-        known_minimizer=known_maximizer,
-    )
 
 
 @dataclass(eq=False)

@@ -66,6 +66,8 @@ class ExperimentConfig:
         entries = tuple(
             (name, checked(f"entries dimension of {name!r}", dim, "int")) for name, dim in pairs
         )
+        if not entries:
+            raise ConfigurationError("entries must hold at least one (function, dimension) pair")
         object.__setattr__(self, "entries", entries)
         for name, dim in entries:
             make_problem(name, dim)  # raises ConfigurationError on a bad entry
@@ -75,6 +77,8 @@ class ExperimentConfig:
             )
         if self.base_seed < 0:
             raise ConfigurationError(f"base_seed must be non-negative, got {self.base_seed}")
+        if not isinstance(self.params, AlgorithmParams):
+            raise ConfigurationError(f"params must be an AlgorithmParams, got {self.params!r}")
         check_format(self.output_format)
         if not isinstance(self.output_path, (str, type(None))):
             raise ConfigurationError(
@@ -92,10 +96,9 @@ class RunStatistics:
     median: float
     stddev: float
     run_bests: tuple[float, ...]
-    seeds: tuple[int, ...]
 
     @classmethod
-    def from_runs(cls, bests, seeds) -> "RunStatistics":
+    def from_runs(cls, bests) -> "RunStatistics":
         bests = tuple(float(b) for b in bests)
         stddev = statistics.stdev(bests) if len(bests) > 1 else 0.0
         return cls(
@@ -105,7 +108,6 @@ class RunStatistics:
             median=statistics.median(bests),
             stddev=stddev,
             run_bests=bests,
-            seeds=tuple(int(s) for s in seeds),
         )
 
 
@@ -116,18 +118,16 @@ class EntryReport:
     function: str
     dimension: int
     stats: RunStatistics
-    known_minimum: Optional[float]
-    abs_error: Optional[float]
+    known_minimum: float
+    abs_error: float
 
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Per-entry statistics plus the settings that produced them."""
+    """Per-entry statistics plus the config that produced them."""
 
     entries: tuple[EntryReport, ...]
-    params: AlgorithmParams
-    runs_per_entry: int
-    base_seed: int
+    config: ExperimentConfig
 
 
 def _run_job(job: tuple[str, int, AlgorithmParams, int]) -> RunResult:
@@ -146,11 +146,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     workers = checked("workers", workers, "int")
     if workers < 1:
         raise ConfigurationError(f"workers must be at least 1, got {workers}")
-    seeds = [config.base_seed + k for k in range(config.runs_per_entry)]
     jobs = [
-        (name, dim, config.params, seed)
+        (name, dim, config.params, config.base_seed + k)
         for name, dim in config.entries
-        for seed in seeds
+        for k in range(config.runs_per_entry)
     ]
     workers = min(workers, len(jobs))  # the pool starts every process it may use at once
     if workers > 1:
@@ -165,16 +164,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     n = config.runs_per_entry
     for idx, (name, dim) in enumerate(config.entries):
         bests = [r.best_fitness for r in results[idx * n : (idx + 1) * n]]
-        stats = RunStatistics.from_runs(bests, seeds)
+        stats = RunStatistics.from_runs(bests)
         known = make_problem(name, dim).known_minimum_value
-        abs_error = None if known is None else abs(stats.best - known)
-        entry_reports.append(EntryReport(name, dim, stats, known, abs_error))
-    return ExperimentReport(
-        entries=tuple(entry_reports),
-        params=config.params,
-        runs_per_entry=config.runs_per_entry,
-        base_seed=config.base_seed,
-    )
+        entry_reports.append(EntryReport(name, dim, stats, known, abs(stats.best - known)))
+    return ExperimentReport(entries=tuple(entry_reports), config=config)
 
 
 def table2_grid() -> ExperimentConfig:
@@ -194,8 +187,6 @@ def table2_grid() -> ExperimentConfig:
 
 
 def _cell(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, float):
         return format(value, ".9g")
     return str(value)
@@ -205,7 +196,7 @@ def _entry_row(report: ExperimentReport, entry: EntryReport) -> dict:
     return {
         "function": entry.function,
         "dimension": entry.dimension,
-        "runs": report.runs_per_entry,
+        "runs": report.config.runs_per_entry,
         "best": entry.stats.best,
         "worst": entry.stats.worst,
         "mean": entry.stats.mean,
@@ -213,22 +204,24 @@ def _entry_row(report: ExperimentReport, entry: EntryReport) -> dict:
         "stddev": entry.stats.stddev,
         "known_minimum": entry.known_minimum,
         "abs_error": entry.abs_error,
-        "base_seed": report.base_seed,
+        "base_seed": report.config.base_seed,
     }
 
 
 def report_to_dict(report: ExperimentReport) -> dict:
     """JSON-ready view of a report; floats are kept exact for round-trips."""
+    config = report.config
+    seeds = range(config.base_seed, config.base_seed + config.runs_per_entry)
     entries = []
     for entry in report.entries:
         row = _entry_row(report, entry)
         row["run_bests"] = list(entry.stats.run_bests)
-        row["seeds"] = list(entry.stats.seeds)
+        row["seeds"] = list(seeds)
         entries.append(row)
     return {
-        "params": asdict(report.params),
-        "runs_per_entry": report.runs_per_entry,
-        "base_seed": report.base_seed,
+        "params": asdict(config.params),
+        "runs_per_entry": config.runs_per_entry,
+        "base_seed": config.base_seed,
         "entries": entries,
     }
 

@@ -188,3 +188,4 @@ class TestCmdList:
         assert "[-10, 10]" in out
         assert "n >= 2" in out
         assert "at (1, 3)" in out
+        assert "[-1.5, 4], [-3, 4]" in out

@@ -15,7 +15,6 @@ from codoa.engine import (
     clamp_ir,
     evaluate_swarm,
     initialize,
-    maximization_problem,
     reward_best,
     run,
 )
@@ -121,14 +120,6 @@ class TestObjectiveProblem:
         with pytest.raises(ConfigurationError, match="dimension"):
             ObjectiveProblem(0, [], [], lambda x: 0.0)
 
-    def test_maximization_wraps_as_negated_minimization(self):
-        peak = lambda x: -((x[0] - 2.0) ** 2)  # maximum 0 at x = 2
-        problem = maximization_problem(1, [-5.0], [5.0], peak, known_maximum_value=0.0)
-        assert problem.evaluator(np.array([3.0])) == -peak(np.array([3.0]))
-        assert problem.known_minimum_value == 0.0
-        result = run(AlgorithmParams(num_particles=8, max_iterations=60), problem, seed=5)
-        assert result.best_position[0] == pytest.approx(2.0, abs=1e-3)
-
 
 class TestRewardBest:
     def test_boosts_the_fittest_and_credits_experience(self):
@@ -229,12 +220,10 @@ class TestEvaluationPaths:
 
         objective.batch = lambda points: np.zeros(len(points))  # deliberately wrong
         plain = box_problem([-5.0, -5.0], [5.0, 5.0], objective)
-        maximized = maximization_problem(2, [-5.0, -5.0], [5.0, 5.0], objective)
         swapped = dataclasses.replace(plain, evaluator=lambda x: objective(x) + 1.0)
-        for problem, expected in ((maximized, [-1.0, -4.0]), (swapped, [2.0, 5.0])):
-            state = self._unevaluated_state([[1.0, 0.0], [2.0, 0.0]])
-            evaluate_swarm(state, problem, np.arange(2))
-            assert state.fit.tolist() == expected
+        state = self._unevaluated_state([[1.0, 0.0], [2.0, 0.0]])
+        evaluate_swarm(state, swapped, np.arange(2))
+        assert state.fit.tolist() == [2.0, 5.0]
 
     @pytest.mark.parametrize("path", ["batch", "rows"])
     def test_non_finite_values_become_plus_infinity_on_both_paths(self, path):

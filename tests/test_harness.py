@@ -53,6 +53,7 @@ def small_report():
 
 class TestRunExperiment:
     def test_statistics_match_direct_engine_runs(self, small_config, small_report):
+        assert small_report.config == small_config
         for name, dim in small_config.entries:
             problem = make_problem(name, dim)
             bests = [
@@ -60,13 +61,14 @@ class TestRunExperiment:
             ]
             entry = next(e for e in small_report.entries if e.function == name)
             assert entry.stats.run_bests == tuple(bests)
-            assert entry.stats.seeds == (7, 8, 9)
             assert entry.stats.best == min(bests)
             assert entry.stats.worst == max(bests)
             assert entry.stats.mean == pytest.approx(naive_mean(bests))
             assert entry.stats.median == pytest.approx(naive_median(bests))
             assert entry.stats.stddev == pytest.approx(naive_sample_stdev(bests))
             assert entry.abs_error == abs(min(bests) - entry.known_minimum)
+        rows = report_to_dict(small_report)["entries"]
+        assert [row["seeds"] for row in rows] == [[7, 8, 9], [7, 8, 9]]
 
     def test_single_run_statistics_collapse(self):
         config = ExperimentConfig(entries=(("booth", 2),), runs_per_entry=1,
@@ -160,7 +162,10 @@ class TestRunExperiment:
         ("base_seed", {"base_seed": -1}),
         ("entries", {"entries": (("sphere", 2.7),)}),
         ("entries", {"entries": (("sphere", True),)}),
+        ("entries", {"entries": ()}),
         ("output_path", {"output_path": 7}),
+        ("params", {"params": {"num_particles": 4}}),
+        ("params", {"params": None}),
     ])
     def test_rejects_ill_typed_settings_naming_the_field(self, field, kwargs):
         with pytest.raises(ConfigurationError, match=field):
@@ -320,7 +325,7 @@ class TestRunStatistics:
                     min_size=1, max_size=30))
     @settings(max_examples=100)
     def test_matches_naive_formulas(self, values):
-        stats = RunStatistics.from_runs(values, range(len(values)))
+        stats = RunStatistics.from_runs(values)
         assert stats.best == min(values)
         assert stats.worst == max(values)
         assert math.isclose(stats.mean, naive_mean(values), rel_tol=1e-9,
@@ -396,6 +401,7 @@ class TestLoadConfig:
         ("initial_ir", True, "initial_ir"),
         ("entries", [["sphere", 2**64]], f"dimension={2**64}"),
         ("entries", [["sphere", 2**62]], f"dimension={2**62}"),
+        ("entries", [], "entries"),
     ])
     def test_bool_interactivity_and_huge_dimension_are_rejected(self, tmp_path, key, value,
                                                                 named):
