@@ -7,6 +7,7 @@ an interrupt (Ctrl-C), which leaves no report behind.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from typing import Optional, Sequence
@@ -92,6 +93,17 @@ def _params_line(params: AlgorithmParams) -> str:
     )
 
 
+def _check_destination(path: Optional[str]) -> None:
+    """Fail before any run unless ``path`` is a non-directory in an existing directory."""
+    if path is None:
+        return
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ConfigurationError(f"--out {path!r}: {folder!r} is not an existing directory")
+    if os.path.isdir(path):
+        raise ConfigurationError(f"--out {path!r} is a directory")
+
+
 def cmd_run(ns: argparse.Namespace) -> int:
     """Run one (function, dimension) entry and report its statistics."""
     params = AlgorithmParams(
@@ -105,6 +117,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
         output_format=ns.format,
         output_path=ns.out,
     )
+    _check_destination(ns.out)
     report = run_experiment(config, workers=ns.workers)
     if ns.out is not None:
         write_report(report, ns.format, ns.out)
@@ -129,6 +142,7 @@ def cmd_table2(ns: argparse.Namespace) -> int:
         output_format=ns.format,
         output_path=ns.out,
     )
+    _check_destination(ns.out)
     report = run_experiment(config, workers=ns.workers)
     write_report(report, config.output_format, config.output_path)
     return 0

@@ -107,6 +107,7 @@ class ObjectiveProblem:
     known_minimizer: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.dimension < 1:
             raise ConfigurationError(f"dimension must be positive, got {self.dimension}")
         lower = np.asarray(self.lower_bounds, dtype=float)
@@ -272,7 +273,13 @@ def balancing(state: SwarmState, params: AlgorithmParams) -> None:
 
 
 def initialize(params: AlgorithmParams, problem: ObjectiveProblem, seed: int) -> SwarmState:
-    """Scatter particles uniformly in the box, evaluate them, reward the best."""
+    """Scatter particles uniformly in the box, evaluate them, reward the best.
+
+    ``seed`` is a non-negative integer.
+    """
+    seed = checked("seed", seed, "int")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
     rng = RandomStream(seed)
     n, d = params.num_particles, problem.dimension
     lower = problem.lower_bounds
@@ -316,6 +323,6 @@ def run(params: AlgorithmParams, problem: ObjectiveProblem, seed: int) -> RunRes
         best_position=tuple(state.global_best_position.tolist()),
         best_per_iteration=tuple(state.history),
         eval_count=state.eval_count,
-        seed=seed,
+        seed=state.rng.seed,
         params=params,
     )

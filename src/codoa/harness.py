@@ -8,11 +8,13 @@ deviation (n - 1 denominator).
 
 from __future__ import annotations
 
+import atexit
 import csv
 import json
 import os
 import statistics
 import sys
+import threading
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
@@ -80,9 +82,9 @@ class ExperimentConfig:
         if not isinstance(self.params, AlgorithmParams):
             raise ConfigurationError(f"params must be an AlgorithmParams, got {self.params!r}")
         check_format(self.output_format)
-        if not isinstance(self.output_path, (str, type(None))):
+        if not isinstance(self.output_path, (str, type(None))) or self.output_path == "":
             raise ConfigurationError(
-                f"output_path must be a string or null, got {self.output_path!r}"
+                f"output_path must be a non-empty string or null, got {self.output_path!r}"
             )
 
 
@@ -135,13 +137,61 @@ def _run_job(job: tuple[str, int, AlgorithmParams, int]) -> RunResult:
     return run(params, make_problem(name, dimension), seed)
 
 
+_pool = None  # (processes, executor) that pooled calls share, started by the first
+_pool_lock = threading.RLock()  # held by each pooled call, so one runs at a time
+
+
+def _close_pool() -> None:
+    """Shut the shared pool down, if one is running, and forget it."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None:
+            _pool[1].shutdown(wait=True)  # its threads end here, before any later fork
+            _pool = None
+
+
+atexit.register(_close_pool)
+
+
+def _pool_map(jobs: list, processes: int) -> list:
+    """``_run_job`` over ``jobs``, in order, in the shared pool of ``processes``.
+
+    The pool is started on first use and kept for later calls.  A call that
+    needs another process count replaces it, and so does one that finds it
+    broken as the jobs are submitted (a worker died since the last call).  A
+    call that fails while its jobs run drops the pool and raises.  Calls from
+    other threads wait for the one running to finish.
+    """
+    global _pool
+    from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing: only here
+    from concurrent.futures.process import BrokenProcessPool
+
+    with _pool_lock:
+        if _pool is not None and _pool[0] != processes:
+            _close_pool()
+        if _pool is None:
+            _pool = (processes, ProcessPoolExecutor(max_workers=processes))
+        try:
+            try:
+                results = _pool[1].map(_run_job, jobs)  # submits every job before it returns
+            except BrokenProcessPool:
+                _close_pool()
+                _pool = (processes, ProcessPoolExecutor(max_workers=processes))
+                results = _pool[1].map(_run_job, jobs)
+            return list(results)
+        except BaseException:
+            _close_pool()
+            raise
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     """Execute every entry of the experiment and collect statistics.
 
     ``workers`` is an integer of at least 1.  Above 1, the independent
-    (entry, run) jobs run in a process pool of at most one process per job;
-    results are collected in (entry index, run index) order, so the report
-    is identical to a serial execution.
+    (entry, run) jobs run in a process pool of at most one process per job,
+    which later calls needing as many processes reuse; results are collected
+    in (entry index, run index) order, so the report is identical to a serial
+    execution.
     """
     workers = checked("workers", workers, "int")
     if workers < 1:
@@ -153,10 +203,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     ]
     workers = min(workers, len(jobs))  # the pool starts every process it may use at once
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing: only here
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_job, jobs))
+        results = _pool_map(jobs, workers)
     else:
         results = [_run_job(job) for job in jobs]
 

@@ -96,6 +96,20 @@ class TestExitCodes:
         assert "interrupted" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []  # neither the report nor a .part file
 
+    @pytest.mark.parametrize("subcommand", [["run", "--function", "booth"], ["table2"]])
+    @pytest.mark.parametrize("out, named", [
+        ("", "output_path"), ("missing/r.csv", "missing"), (".", "is a directory"),
+    ])
+    def test_bad_destination_exits_one_before_any_run(self, subcommand, out, named, tmp_path,
+                                                      monkeypatch, capsys):
+        def no_runs(config, workers):
+            raise AssertionError("runs started before the destination was checked")
+
+        monkeypatch.setattr("codoa.cli.run_experiment", no_runs)
+        monkeypatch.chdir(tmp_path)
+        assert main(subcommand + ["--runs", "1", "--out", out]) == 1
+        assert named in capsys.readouterr().err
+
     def test_unwritable_output_exits_one(self, tmp_path, capsys):
         target = tmp_path / "missing_dir" / "r.csv"
         code = main(["run", "--function", "booth", "--particles", "4",

@@ -120,6 +120,11 @@ class TestObjectiveProblem:
         with pytest.raises(ConfigurationError, match="dimension"):
             ObjectiveProblem(0, [], [], lambda x: 0.0)
 
+    @pytest.mark.parametrize("dimension", [2.0, True])
+    def test_rejects_non_integer_dimension(self, dimension):
+        with pytest.raises(ConfigurationError, match="dimension"):
+            ObjectiveProblem(dimension, [0.0, 0.0], [1.0, 1.0], lambda x: 0.0)
+
 
 class TestRewardBest:
     def test_boosts_the_fittest_and_credits_experience(self):
@@ -314,6 +319,19 @@ class TestRun:
         result = run(params, make_problem("sphere", 2), seed=123)
         assert result.params == params
         assert result.seed == 123
+
+    @pytest.mark.parametrize("seed", [2.5, "2", True, None, -1])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        params = AlgorithmParams(num_particles=4, max_iterations=2)
+        with pytest.raises(ConfigurationError, match="seed"):
+            run(params, make_problem("booth", 2), seed)
+
+    def test_numpy_integer_seed_is_reported_as_int(self):
+        params = AlgorithmParams(num_particles=4, max_iterations=5)
+        problem = make_problem("booth", 2)
+        result = run(params, problem, np.int64(3))
+        assert type(result.seed) is int
+        assert result == run(params, problem, 3)
 
 
 class TestRandomStream:

@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from codoa.harness import (
 from support import naive_mean, naive_median, naive_sample_stdev
 
 SMALL_PARAMS = AlgorithmParams(num_particles=4, max_iterations=8)
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
 
 
 @pytest.fixture()
@@ -49,6 +51,30 @@ def small_report():
         params=SMALL_PARAMS,
     )
     return run_experiment(config)
+
+
+@pytest.fixture()
+def no_pool_yet():
+    """Start with no shared pool, and shut down the one the test leaves."""
+    harness._close_pool()
+    yield
+    harness._close_pool()
+
+
+@pytest.fixture()
+def pools_made(no_pool_yet, monkeypatch):
+    """Every executor the harness constructs, in order; each is a real pool."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    made = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            made.append(self)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountedPool)
+    return made
 
 
 class TestRunExperiment:
@@ -103,28 +129,25 @@ class TestRunExperiment:
             run_experiment(small_config, workers=workers)
 
     @pytest.mark.parametrize("workers, expected", [(2, 2), (7, 6)])
-    def test_pool_holds_at_most_one_process_per_job(self, small_config, monkeypatch,
-                                                     workers, expected):
+    def test_pool_holds_at_most_one_process_per_job(self, small_config, no_pool_yet,
+                                                     monkeypatch, workers, expected):
         sizes = []
 
         class SerialPool:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def map(self, fn, jobs):
                 return map(fn, jobs)
+
+            def shutdown(self, wait=True):
+                pass
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         assert run_experiment(small_config, workers=workers) == run_experiment(small_config)
         assert sizes == [expected]  # 2 entries x 3 runs: 6 jobs
 
-    def test_single_job_runs_without_a_pool(self, monkeypatch):
+    def test_single_job_runs_without_a_pool(self, no_pool_yet, monkeypatch):
         def no_pool(**kwargs):
             raise AssertionError("a pool was started for one job")
 
@@ -132,10 +155,82 @@ class TestRunExperiment:
         config = ExperimentConfig(entries=(("booth", 2),), runs_per_entry=1, params=SMALL_PARAMS)
         assert run_experiment(config, workers=2) == run_experiment(config)
 
+    def test_consecutive_pooled_calls_share_one_pool(self, small_config, pools_made):
+        serial = run_experiment(small_config)
+        assert run_experiment(small_config, workers=2) == serial
+        assert run_experiment(small_config, workers=2) == serial
+        assert len(pools_made) == 1
+
+    def test_another_process_count_replaces_the_pool(self, small_config, pools_made):
+        serial = run_experiment(small_config)
+        assert run_experiment(small_config, workers=2) == serial
+        assert run_experiment(small_config, workers=3) == serial
+        assert len(pools_made) == 2
+        with pytest.raises(RuntimeError, match="shutdown"):
+            pools_made[0].submit(int)
+
+    def test_pool_whose_worker_died_is_replaced(self, small_config, pools_made):
+        from concurrent.futures.process import BrokenProcessPool
+
+        serial = run_experiment(small_config)
+        assert run_experiment(small_config, workers=2) == serial
+        with pytest.raises(BrokenProcessPool):  # raised once the pool knows it is broken
+            pools_made[0].submit(os._exit, 1).result(timeout=60)
+        assert run_experiment(small_config, workers=2) == serial
+        assert len(pools_made) == 2
+
+    def test_pool_that_breaks_during_a_run_is_dropped(self, small_config, no_pool_yet,
+                                                       monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        closed = []
+
+        class BreakingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def map(self, fn, jobs):
+                yield fn(jobs[0])
+                raise BrokenProcessPool("a worker died")
+
+            def shutdown(self, wait=True):
+                closed.append(wait)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", BreakingPool)
+        with pytest.raises(BrokenProcessPool):
+            run_experiment(small_config, workers=2)
+        assert closed == [True]
+        assert harness._pool is None
+
+    # the caller threads are alive when the first call forks its pool
+    @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
+    def test_pooled_calls_from_threads_match_serial(self, small_config, no_pool_yet):
+        serial = run_experiment(small_config)
+        got = []
+
+        def call(workers):
+            got.append(run_experiment(small_config, workers=workers))
+
+        threads = [threading.Thread(target=call, args=(2 + i % 2,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [serial] * 4
+
+    def test_pooled_cli_run_exits_cleanly(self):
+        args = ["run", "--function", "booth", "--iterations", "20", "--runs", "4",
+                "--workers", "2"]
+        done = subprocess.run([sys.executable, "-m", "codoa.cli", *args],
+                              env=dict(os.environ, PYTHONPATH=SRC),
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert "function=booth" in done.stdout
+
     def test_importing_codoa_does_not_import_multiprocessing(self):
         code = "import sys, codoa; print(any(m.startswith('multiprocessing') for m in sys.modules))"
-        src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
-        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
                               capture_output=True, text=True, timeout=60, check=True)
         assert done.stdout.strip() == "False"
 
