@@ -18,7 +18,7 @@ import threading
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
-from codoa.benchmarks import make_problem
+from codoa.benchmarks import REGISTRY, make_problem
 from codoa.engine import AlgorithmParams, ConfigurationError, RunResult, check_fields, checked, run
 
 REPORT_COLUMNS = (
@@ -137,8 +137,9 @@ def _run_job(job: tuple[str, int, AlgorithmParams, int]) -> RunResult:
     return run(params, make_problem(name, dimension), seed)
 
 
-_pool = None  # (processes, executor) that pooled calls share, started by the first
+_pool = None  # (processes, registry, executor) that pooled calls share, started by the first
 _pool_lock = threading.RLock()  # held by each pooled call, so one runs at a time
+_parent_pools = []  # in a forked child: the parent's pool, never used nor collected
 
 
 def _close_pool() -> None:
@@ -146,38 +147,54 @@ def _close_pool() -> None:
     global _pool
     with _pool_lock:
         if _pool is not None:
-            _pool[1].shutdown(wait=True)  # its threads end here, before any later fork
+            _pool[2].shutdown(wait=True)  # its threads end here, before any later fork
             _pool = None
 
 
+def _forget_pool_in_child() -> None:
+    """Give a forked child no pool and a free lock; the parent's stay the parent's.
+
+    The child keeps a reference to the parent's pool: collecting it would run
+    its wakeup callback, which takes a lock some parent thread may have held
+    at the fork and writes into the parent's pipe.
+    """
+    global _pool, _pool_lock
+    _parent_pools.append(_pool)
+    _pool, _pool_lock = None, threading.RLock()
+
+
 atexit.register(_close_pool)
+if hasattr(os, "register_at_fork"):  # absent where there is no fork
+    os.register_at_fork(after_in_child=_forget_pool_in_child)
 
 
 def _pool_map(jobs: list, processes: int) -> list:
     """``_run_job`` over ``jobs``, in order, in the shared pool of ``processes``.
 
     The pool is started on first use and kept for later calls.  A call that
-    needs another process count replaces it, and so does one that finds it
-    broken as the jobs are submitted (a worker died since the last call).  A
-    call that fails while its jobs run drops the pool and raises.  Calls from
-    other threads wait for the one running to finish.
+    needs another process count, or finds ``REGISTRY`` changed since the pool
+    started (a forked worker would still see the old one), replaces it, and
+    so does one that finds it broken as the jobs are submitted (a worker died
+    since the last call).  A call that fails while its jobs run drops the pool
+    and raises.  Calls from other threads wait for the one running to finish.
     """
     global _pool
     from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing: only here
     from concurrent.futures.process import BrokenProcessPool
 
+    registry = tuple(REGISTRY.items())  # holds the specs, so none is collected
     with _pool_lock:
-        if _pool is not None and _pool[0] != processes:
+        if _pool is not None and _pool[:2] != (processes, registry):
             _close_pool()
         if _pool is None:
-            _pool = (processes, ProcessPoolExecutor(max_workers=processes))
+            _pool = (processes, registry, ProcessPoolExecutor(max_workers=processes))
         try:
             try:
-                results = _pool[1].map(_run_job, jobs)  # submits every job before it returns
+                results = _pool[2].map(_run_job, jobs)  # submits every job before it returns
             except BrokenProcessPool:
                 _close_pool()
-                _pool = (processes, ProcessPoolExecutor(max_workers=processes))
-                results = _pool[1].map(_run_job, jobs)
+                _pool = (processes, registry, ProcessPoolExecutor(max_workers=processes))
+                results = _pool[2].map(_run_job, jobs)
             return list(results)
         except BaseException:
             _close_pool()

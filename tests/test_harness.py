@@ -1,19 +1,23 @@
 """Experiment harness tests: statistics, determinism, reports, config files."""
 
+import dataclasses
 import json
 import math
+import multiprocessing
 import os
+import signal
 import stat
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from codoa import harness
-from codoa.benchmarks import make_problem
+from codoa.benchmarks import REGISTRY, make_problem
 from codoa.engine import AlgorithmParams, ConfigurationError, run
 from codoa.harness import (
     REPORT_COLUMNS,
@@ -218,6 +222,55 @@ class TestRunExperiment:
             thread.join(timeout=120)
         assert not any(thread.is_alive() for thread in threads)
         assert got == [serial] * 4
+
+    # the pool's threads, and a thread holding the harness lock, are alive at the fork
+    @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_its_own_pool(self, small_config, no_pool_yet):
+        serial = run_experiment(small_config)
+        assert run_experiment(small_config, workers=2) == serial
+        held, release = threading.Event(), threading.Event()
+
+        def hold_lock():
+            with harness._pool_lock:
+                held.set()
+                release.wait(timeout=120)
+
+        holder = threading.Thread(target=hold_lock)
+        holder.start()
+        assert held.wait(timeout=60)
+        pid = os.fork()
+        if pid == 0:  # the child makes one pooled call and leaves without running pytest on
+            code = 1
+            try:
+                os.setpgid(0, 0)  # its pool joins its group, so a timeout can kill them all
+                code = 0 if run_experiment(small_config, workers=2) == serial else 2
+                harness._close_pool()
+            finally:
+                os._exit(code)
+        release.set()
+        holder.join()
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if done[0] == 0:
+            os.killpg(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] == pid, "the child's pooled call did not finish within 60 s"
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+        assert run_experiment(small_config, workers=2) == serial  # the parent's pool still works
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="other start methods import a fresh REGISTRY in each worker")
+    def test_registry_change_replaces_the_pool(self, small_config, pools_made, monkeypatch):
+        before = run_experiment(small_config)
+        assert run_experiment(small_config, workers=2) == before
+        booth = dataclasses.replace(REGISTRY["booth"], func=REGISTRY["sphere"].func)
+        monkeypatch.setitem(REGISTRY, "booth", booth)
+        serial = run_experiment(small_config)
+        assert serial != before
+        assert run_experiment(small_config, workers=2) == serial
+        assert len(pools_made) == 2
 
     def test_pooled_cli_run_exits_cleanly(self):
         args = ["run", "--function", "booth", "--iterations", "20", "--runs", "4",
