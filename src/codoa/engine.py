@@ -13,11 +13,20 @@ and each phase is a few masked array expressions.  Random factors are drawn
 in particle order, one ``draw(k)`` per step that needs ``k`` of them (the
 repeated rationalizing boosts are one step).
 
-``problem.evaluator`` maps one point to its fitness.  It may carry a
-``batch`` attribute mapping a (k, d) array to k fitnesses: the same values,
-bit for bit, as calling the evaluator on each row, or else leave it off.
-Particles are evaluated where they move, all moved rows in one call (without
-``batch``, one by one in index order), so ``fit[i]`` is ``f(pos[i])`` always.
+A boost (``ir + u * ir`` or ``ir + u * (b / ir)``) never lowers ``ir`` and a
+decay (``u * ir`` with ``u < 1``) never raises it, so a boost is capped only
+at ``max_ir`` and a decay floored only at ``ir_floor``.
+
+``problem.evaluator`` maps one point to its fitness, and must be pure, as
+deterministic runs already require.  It may carry a ``batch`` attribute
+mapping a (k, d) array to k fitnesses: the same values, bit for bit, as
+calling the evaluator on each row, or else leave it off.  Particles are
+evaluated where they move, all moved rows in one call (without ``batch``,
+one by one in index order), so ``fit[i] == f(pos[i])`` always.  A moved
+particle whose fitness equals the archived best's and whose new position is
+the archived point, bit for bit, keeps its fitness without a call, but
+counts in ``eval_count``: that counts particle evaluations, and the
+objective is called at most that many times.
 """
 
 from __future__ import annotations
@@ -147,7 +156,12 @@ class SwarmState:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one seeded run; plain tuples so results compare exactly."""
+    """Outcome of one seeded run; plain tuples so results compare exactly.
+
+    ``eval_count`` counts particle evaluations, including those that reuse
+    the archived best's fitness; the objective was called at most that many
+    times.
+    """
 
     best_fitness: float
     best_position: tuple[float, ...]
@@ -157,11 +171,6 @@ class RunResult:
     params: AlgorithmParams
 
 
-def clamp_ir(values, params: AlgorithmParams):
-    """Clamp interactivity rates into [ir_floor, max_ir], elementwise."""
-    return np.minimum(np.maximum(values, params.ir_floor), params.max_ir)
-
-
 def reward_best(state: SwarmState, params: AlgorithmParams) -> None:
     """Boost the interactivity of the currently fittest particle and credit it.
 
@@ -169,9 +178,9 @@ def reward_best(state: SwarmState, params: AlgorithmParams) -> None:
     best-holder index) moves only on strict improvement.
     """
     best_i = state.fit.argmin().item()
-    best_f = state.fit[best_i].item()
-    ir = state.ir[best_i].item()
-    state.ir[best_i] = min(max(ir + state.rng.next() * ir, params.ir_floor), params.max_ir)
+    best_f = state.fit.item(best_i)
+    ir = state.ir.item(best_i)
+    state.ir[best_i] = min(ir + state.rng.next() * ir, params.max_ir)
     state.ex[best_i] += 1
     if state.best_holder_index is None or best_f < state.global_best_fitness:
         state.global_best_position = state.pos[best_i].copy()
@@ -190,12 +199,12 @@ def socialization(state: SwarmState, params: AlgorithmParams) -> None:
     below = state.fit < mean
     state.ex += np.where(below, 1, -1)
     ir = state.ir[below]
-    state.ir[below] = clamp_ir(ir + state.rng.draw(len(ir)) * ir, params)
+    state.ir[below] = np.minimum(ir + state.rng.draw(len(ir)) * ir, params.max_ir)
 
 
 def decay_all_ir(state: SwarmState, params: AlgorithmParams) -> None:
     """Multiplicatively decay every particle's interactivity."""
-    state.ir = clamp_ir(state.rng.draw(len(state.ir)) * state.ir, params)
+    state.ir = np.maximum(state.rng.draw(len(state.ir)) * state.ir, params.ir_floor)
 
 
 def move_toward_best(
@@ -207,24 +216,40 @@ def move_toward_best(
 
     Each coordinate steps a random fraction of ``ir`` times the remaining
     gap, so steps overshoot the target when ``ir`` exceeds 1.  Moved
-    particles are clamped to the box and evaluated.
+    particles are clamped to the box and evaluated, bar those that keep the
+    archived best's fitness (see the module notes).
     """
     rows = selected.nonzero()[0]
     k = len(rows)
     if not k:
         return
+    best = state.global_best_position
     positions = state.pos.take(rows, axis=0)  # pos[rows], at a fraction of the indexing cost
     u = state.rng.draw(k * problem.dimension).reshape(k, problem.dimension)
-    moved = positions + u * (state.ir[rows][:, None] * (state.global_best_position - positions))
+    moved = positions + u * (state.ir.take(rows)[:, None] * (best - positions))
     np.maximum(moved, problem.lower_bounds, out=moved)  # np.clip without its Python wrapper
     np.minimum(moved, problem.upper_bounds, out=moved)
     state.pos[rows] = moved
-    evaluate_swarm(state, problem, rows)
+    # fitness compares as floats: a kept zero may differ in sign from f's, which no
+    # phase can tell apart; positions compare as bits, so -0.0 -> +0.0 is a move
+    parked = state.fit.take(rows) == state.global_best_fitness
+    if parked.any():
+        parked &= (moved.view(np.int64) == best.view(np.int64)).all(axis=1)
+        fresh = ~parked
+        rows, moved = rows[fresh], moved[fresh]
+        state.eval_count += k - len(rows)
+    if len(rows):
+        evaluate_swarm(state, problem, rows, moved)
 
 
-def evaluate_swarm(state: SwarmState, problem: ObjectiveProblem, rows: np.ndarray) -> None:
-    """Evaluate the particles at index array ``rows``, batched if possible; non-finite -> +inf."""
-    points = state.pos.take(rows, axis=0)
+def evaluate_swarm(
+    state: SwarmState, problem: ObjectiveProblem, rows: np.ndarray, points: np.ndarray
+) -> None:
+    """Set the fitness of the particles at index array ``rows`` to that of ``points``.
+
+    ``points`` holds their positions, one row each; they are evaluated batched
+    if possible, and a non-finite value becomes +inf.
+    """
     batch = getattr(problem.evaluator, "batch", None)
     if batch is None:
         values = np.array([float(problem.evaluator(x)) for x in points])
@@ -240,7 +265,7 @@ def maturation(state: SwarmState, params: AlgorithmParams) -> None:
     """Boost interactivity of low-experience particles, then reward the best."""
     low = state.ex <= params.maturity_limit
     ir = state.ir[low]
-    state.ir[low] = clamp_ir(ir + state.rng.draw(len(ir)) * ir, params)
+    state.ir[low] = np.minimum(ir + state.rng.draw(len(ir)) * ir, params.max_ir)
     reward_best(state, params)
 
 
@@ -253,16 +278,16 @@ def rationalizing(state: SwarmState, params: AlgorithmParams, problem: Objective
     the rest get the boost ``rationality_rate`` times, pass ``r`` taking
     row ``r`` of one draw.
     """
-    b = state.ir[state.best_holder_index]
+    b = state.ir.item(state.best_holder_index)
     negative = state.ex < 0
     ir = state.ir[negative]
-    state.ir[negative] = clamp_ir(ir + state.rng.draw(len(ir)) * (b / ir), params)
+    state.ir[negative] = np.minimum(ir + state.rng.draw(len(ir)) * (b / ir), params.max_ir)
     move_toward_best(state, problem, negative)
     positive = ~negative
     ir = state.ir[positive]
     m = len(ir)
     for u in state.rng.draw(m * params.rationality_rate).reshape(params.rationality_rate, m):
-        ir = clamp_ir(ir + u * (b / ir), params)
+        ir = np.minimum(ir + u * (b / ir), params.max_ir)
     state.ir[positive] = ir
 
 
@@ -291,7 +316,7 @@ def initialize(params: AlgorithmParams, problem: ObjectiveProblem, seed: int) ->
         ex=np.zeros(n, dtype=np.int64),
         rng=rng,
     )
-    evaluate_swarm(state, problem, np.arange(n))
+    evaluate_swarm(state, problem, np.arange(n), state.pos)
     reward_best(state, params)
     return state
 

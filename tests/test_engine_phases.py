@@ -22,7 +22,15 @@ from codoa.engine import (
 )
 from codoa.rng import RandomStream
 
-from support import PinnedStream, SequenceStream, box_problem, make_state, mask
+from support import (
+    PinnedStream,
+    SequenceStream,
+    assert_iteration_boundary,
+    box_problem,
+    make_state,
+    mask,
+    sphere_loop,
+)
 
 
 PARAMS = AlgorithmParams()
@@ -170,6 +178,59 @@ class TestMoveTowardBest:
                            rng=SequenceStream([0.25, 0.75]))
         move_toward_best(state, problem, mask(2, 0))
         np.testing.assert_allclose(state.pos[0], [0.25, 0.75])
+
+
+def logged_sphere(path):
+    """Sum of squares that logs every point it evaluates, on the batch or the row path."""
+    seen = []
+
+    def objective(x):
+        seen.append(x.tolist())
+        return float(np.square(x).sum())
+
+    if path == "batch":
+        def batch(points):
+            seen.extend(points.tolist())
+            return np.square(points).sum(axis=1)
+
+        objective.batch = batch
+    return box_problem([-10.0, -10.0], [10.0, 10.0], objective), seen
+
+
+class TestArchiveReuse:
+    """A moved particle whose fitness equals the archived best's and whose new
+    position is the archived point, bit for bit, keeps its fitness without an
+    objective call."""
+
+    @pytest.mark.parametrize("path", ["batch", "rows"])
+    @pytest.mark.parametrize("start, ir, u, evaluated", [
+        pytest.param([1.0, 0.0], 0.5, 0.5, False, id="parked"),
+        pytest.param([-1.0, 0.0], 4.0, 0.5, True, id="tied-fitness-elsewhere"),
+        pytest.param([-1.0, 0.0], 1.0, 1.0, False, id="tied-fitness-lands-on-best"),
+        pytest.param([3.0, 0.0], 1.0, 1.0, True, id="other-fitness-lands-on-best"),
+    ])
+    def test_only_a_move_from_the_archive_fitness_onto_its_point_is_reused(
+        self, path, start, ir, u, evaluated
+    ):
+        problem, seen = logged_sphere(path)
+        # the archive is particle 0 at (1, 0), fitness 1; particle 1 moves
+        state = make_state(fitness=[1.0, sphere_loop(start)], ir=[ir, ir],
+                           positions=[[1.0, 0.0], start], rng=PinnedStream(u))
+        move_toward_best(state, problem, mask(2, 1))
+        assert seen == ([state.pos[1].tolist()] if evaluated else [])
+        assert state.eval_count == 1 and type(state.eval_count) is int
+        assert_iteration_boundary(state, PARAMS, box_problem([-10.0, -10.0], [10.0, 10.0]))
+
+    @pytest.mark.parametrize("path", ["batch", "rows"])
+    def test_a_minus_zero_coordinate_turned_plus_zero_is_a_move(self, path):
+        problem, seen = logged_sphere(path)
+        state = make_state(fitness=[4.0, 4.0], positions=[[-0.0, 2.0], [-0.0, 2.0]],
+                           rng=PinnedStream(0.5))
+        move_toward_best(state, problem, mask(2, 1))
+        # -0.0 + 0.5 * (0.5 * (-0.0 - -0.0)) is -0.0 + 0.0, which is +0.0
+        assert not np.signbit(state.pos[1, 0])
+        assert seen == [[0.0, 2.0]]
+        assert state.eval_count == 1
 
 
 class TestMaturation:

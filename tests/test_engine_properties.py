@@ -6,6 +6,7 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from codoa import engine
 from codoa.benchmarks import make_problem
 from codoa.engine import (
     AlgorithmParams,
@@ -33,6 +34,29 @@ def counting_problem(problem):
         return original(x)
 
     return dataclasses.replace(problem, evaluator=counting), box
+
+
+def count_parked(monkeypatch):
+    """Count moved rows that keep their fitness without an objective call.
+
+    A row is parked when its fitness before the move equals the archived
+    best's and its new position is the archived point bit for bit;
+    ``move_toward_best`` is wrapped to count them apart from the engine.
+    """
+    box = {"parked": 0}
+    original = engine.move_toward_best
+
+    def counted(state, problem, selected):
+        rows = selected.nonzero()[0]
+        prior = state.fit[rows]
+        original(state, problem, selected)
+        archive = state.global_best_position.view(np.int64)
+        for fitness, position in zip(prior.tolist(), state.pos[rows]):
+            if fitness == state.global_best_fitness and (position.view(np.int64) == archive).all():
+                box["parked"] += 1
+
+    monkeypatch.setattr(engine, "move_toward_best", counted)
+    return box
 
 
 @given(st.lists(finite_fitness, min_size=2, max_size=20))
@@ -74,9 +98,12 @@ def _random_setup(rng):
     return name, dim, params
 
 
-def test_invariants_hold_through_random_short_runs():
+def test_invariants_hold_through_random_short_runs(monkeypatch):
+    parked = count_parked(monkeypatch)
+    parked_in_all_trials = 0
     rng = np.random.default_rng(2024)
     for trial in range(25):
+        parked["parked"] = 0
         name, dim, params = _random_setup(rng)
         plain = make_problem(name, dim)
         problem, counter = counting_problem(plain)
@@ -90,17 +117,21 @@ def test_invariants_hold_through_random_short_runs():
             before = state.eval_count
             iterate(state, params, problem)
             assert state.eval_count - before <= 2 * params.num_particles
-            assert state.eval_count == counter["calls"]
+            assert counter["calls"] == state.eval_count - parked["parked"]
             assert state.global_best_fitness <= previous_best
             previous_best = state.global_best_fitness
             assert_iteration_boundary(state, params, plain)
+        parked_in_all_trials += parked["parked"]
+    assert parked_in_all_trials > 0  # so the reuse is exercised
 
 
-def test_full_run_accounting_matches_external_count():
+def test_full_run_accounting_matches_external_count(monkeypatch):
+    parked = count_parked(monkeypatch)
     params = AlgorithmParams(num_particles=7, max_iterations=25)
     problem, counter = counting_problem(make_problem("sphere", 3))
     result = run(params, problem, seed=5)
-    assert result.eval_count == counter["calls"]
+    assert counter["calls"] == result.eval_count - parked["parked"]
+    assert parked["parked"] > 0
 
 
 def test_distinct_seeds_explore_differently():

@@ -1,4 +1,4 @@
-"""Unit tests for params validation, the ir clamp, evaluation, initialize, and run."""
+"""Unit tests for params validation, the ir clamps, evaluation, initialize, and run."""
 
 import dataclasses
 import math
@@ -12,11 +12,13 @@ from codoa.engine import (
     AlgorithmParams,
     ConfigurationError,
     ObjectiveProblem,
-    clamp_ir,
     evaluate_swarm,
     initialize,
+    maturation,
+    rationalizing,
     reward_best,
     run,
+    socialization,
 )
 from codoa.rng import _BLOCK, RandomStream
 
@@ -82,22 +84,55 @@ class TestAlgorithmParams:
             AlgorithmParams(**{field: value})
 
 
-class TestClampIr:
-    def test_upper_clamp(self):
-        assert clamp_ir(12.0, AlgorithmParams()) == 10.0
+def _bits(value):
+    return np.asarray(value, dtype=float).view(np.int64).tolist()
 
-    def test_floor_clamp(self):
-        assert clamp_ir(0.0, AlgorithmParams()) == 1e-6
 
-    def test_identity_inside_bounds(self):
-        assert clamp_ir(0.5, AlgorithmParams()) == 0.5
+@st.composite
+def _clamp_cases(draw):
+    """Valid interactivity bounds, ``ir`` and ``b`` within them (ends included), ``u`` in [0, 1)."""
+    floor = draw(st.floats(min_value=0.0, max_value=1e3, exclude_min=True))
+    top = draw(st.floats(min_value=floor, allow_infinity=False))
+    within = st.one_of(st.just(floor), st.just(top), st.floats(min_value=floor, max_value=top))
+    u = draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    return AlgorithmParams(ir_floor=floor, initial_ir=floor, max_ir=top), draw(within), u, draw(within)
 
-    @given(st.floats(allow_nan=False, min_value=-1e12, max_value=1e12))
-    def test_always_lands_in_bounds(self, value):
-        params = AlgorithmParams()
-        out = clamp_ir(value, params)
-        assert params.ir_floor <= out <= params.max_ir
-        assert clamp_ir(out, params) == out
+
+class TestInteractivityClamps:
+    """A boost never lowers ``ir`` and a decay never raises it, so the phases
+    clamp only the side an update moves toward.  The floor on a decay is
+    pinned in ``test_engine_phases.py`` (``test_zero_rand_engages_the_floor``)."""
+
+    @settings(max_examples=500)
+    @given(_clamp_cases())
+    def test_one_sided_forms_equal_the_two_sided_clamp(self, case):
+        params, ir, u, b = case
+        lo, hi = params.ir_floor, params.max_ir
+        ir_a, u_a = np.array([ir]), np.array([u])
+        with np.errstate(over="ignore", invalid="ignore"):  # b / ir may overflow, 0 * inf is nan
+            boost, rational, decay = ir_a + u_a * ir_a, ir_a + u_a * (b / ir_a), u_a * ir_a
+        for capped in (boost, rational):
+            assert _bits(np.minimum(capped, hi)) == _bits(np.minimum(np.maximum(capped, lo), hi))
+        assert _bits(np.maximum(decay, lo)) == _bits(np.minimum(np.maximum(decay, lo), hi))
+        reward = ir + u * ir  # reward_best's Python-float form
+        assert _bits(min(reward, hi)) == _bits(min(max(reward, lo), hi))
+
+    def test_a_boost_is_capped_at_max_ir(self):
+        params = AlgorithmParams(rationality_rate=1)
+        problem = box_problem([-10.0, -10.0], [10.0, 10.0])
+        phases = {
+            "socialization": lambda state: socialization(state, params),
+            "maturation": lambda state: maturation(state, params),
+            "reward_best": lambda state: reward_best(state, params),
+            "rationalizing": lambda state: rationalizing(state, params, problem),
+        }
+        for name, phase in phases.items():
+            # particle 0 is the fittest, below the mean, and takes rationalizing's repeated
+            # boost; each of its boosts would pass 10 (9.5 + 0.9 * 9.5, 9.5 + 0.9 * 9.5 / 9.5)
+            state = make_state(fitness=[1.0, 8.0], ir=[9.5, 9.5], ex=[0, -1],
+                               positions=[[0.0, 1.0], [2.0, 2.0]], rng=PinnedStream(0.9))
+            phase(state)
+            assert state.ir[0] == params.max_ir, name
 
 
 class TestObjectiveProblem:
@@ -164,14 +199,16 @@ class TestRewardBest:
 class TestEvaluateSwarm:
     def test_sphere_origin_has_zero_fitness(self):
         state = make_state(fitness=[math.inf], positions=[[0.0, 0.0]])
-        evaluate_swarm(state, make_problem("sphere", 2), np.array([0]))
+        rows = np.array([0])
+        evaluate_swarm(state, make_problem("sphere", 2), rows, state.pos[rows])
         assert state.fit[0] == 0.0
         assert state.eval_count == 1
 
     def test_only_the_given_rows_are_evaluated(self):
         state = make_state(fitness=[1.0, 2.0, 3.0],
                            positions=[[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-        evaluate_swarm(state, make_problem("sphere", 2), np.array([1]))
+        rows = np.array([1])
+        evaluate_swarm(state, make_problem("sphere", 2), rows, state.pos[rows])
         assert state.eval_count == 1
         assert state.fit.tolist() == [1.0, 4.0, 3.0]
 
@@ -179,7 +216,8 @@ class TestEvaluateSwarm:
     def test_non_finite_values_become_plus_infinity(self, bad):
         problem = box_problem([-1.0], [1.0], evaluator=lambda x: bad)
         state = make_state(fitness=[0.0], positions=[[0.0]])
-        evaluate_swarm(state, problem, np.array([0]))
+        rows = np.array([0])
+        evaluate_swarm(state, problem, rows, state.pos[rows])
         assert state.fit[0] == math.inf
 
 
@@ -200,7 +238,9 @@ class TestEvaluationPaths:
 
         objective.batch = batch
         state = self._unevaluated_state([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-        evaluate_swarm(state, box_problem([-5.0, -5.0], [5.0, 5.0], objective), np.array([0, 2]))
+        problem = box_problem([-5.0, -5.0], [5.0, 5.0], objective)
+        rows = np.array([0, 2])
+        evaluate_swarm(state, problem, rows, state.pos[rows])
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0], [[1.0, 0.0], [3.0, 0.0]])
         assert state.fit.tolist() == [1.0, math.inf, 9.0]
@@ -214,7 +254,8 @@ class TestEvaluationPaths:
             return float(x[0])
 
         state = self._unevaluated_state([[3.0], [1.0], [2.0]])
-        evaluate_swarm(state, box_problem([-5.0], [5.0], objective), np.arange(3))
+        rows = np.arange(3)
+        evaluate_swarm(state, box_problem([-5.0], [5.0], objective), rows, state.pos[rows])
         assert seen == [3.0, 1.0, 2.0]
         assert state.fit.tolist() == [3.0, 1.0, 2.0]
         assert state.eval_count == 3
@@ -227,7 +268,8 @@ class TestEvaluationPaths:
         plain = box_problem([-5.0, -5.0], [5.0, 5.0], objective)
         swapped = dataclasses.replace(plain, evaluator=lambda x: objective(x) + 1.0)
         state = self._unevaluated_state([[1.0, 0.0], [2.0, 0.0]])
-        evaluate_swarm(state, swapped, np.arange(2))
+        rows = np.arange(2)
+        evaluate_swarm(state, swapped, rows, state.pos[rows])
         assert state.fit.tolist() == [2.0, 5.0]
 
     @pytest.mark.parametrize("path", ["batch", "rows"])
@@ -240,7 +282,8 @@ class TestEvaluationPaths:
         if path == "batch":
             objective.batch = lambda points: np.array([values[int(r[0])] for r in points])
         state = self._unevaluated_state([[0.0], [1.0], [2.0], [3.0]])
-        evaluate_swarm(state, box_problem([-5.0], [5.0], objective), np.arange(4))
+        rows = np.arange(4)
+        evaluate_swarm(state, box_problem([-5.0], [5.0], objective), rows, state.pos[rows])
         assert state.fit.tolist() == [math.inf, math.inf, math.inf, 1.5]
         assert state.eval_count == 4
 
@@ -347,6 +390,16 @@ class TestRandomStream:
     def test_negative_seed_is_rejected(self):
         with pytest.raises(ValueError):
             RandomStream(-7)
+
+    @pytest.mark.parametrize("seed", [2.5, True, "2", None])
+    def test_a_seed_that_is_not_an_integer_is_rejected(self, seed):
+        with pytest.raises(TypeError, match="seed"):
+            RandomStream(seed)
+
+    def test_numpy_integer_seed_is_used_as_int(self):
+        stream = RandomStream(np.uint64(5))
+        assert stream.seed == 5 and type(stream.seed) is int
+        assert stream.draw(3).tolist() == RandomStream(5).draw(3).tolist()
 
     def test_seeds_are_used_whole(self):
         wide = RandomStream(5 + 2**64)
