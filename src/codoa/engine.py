@@ -27,6 +27,14 @@ particle whose fitness equals the archived best's and whose new position is
 the archived point, bit for bit, keeps its fitness without a call, but
 counts in ``eval_count``: that counts particle evaluations, and the
 objective is called at most that many times.
+
+Swarms collapse: every particle comes to sit on the archived best, bit for
+bit (see :func:`collapsed`; booth-2 runs at the reference settings do so at
+iterations 155-209).  From then on every move lands back on the best and is
+parked, so ``run`` finishes the budget with the bookkeeping of
+:func:`fast_forward` alone, and its ``RunResult`` is the one that iterating
+gives, bit for bit.  ``iterate`` still runs every phase; only ``run``, which
+exposes neither, stops advancing ``ir`` and the random stream.
 """
 
 from __future__ import annotations
@@ -132,6 +140,13 @@ class ObjectiveProblem:
                 raise ConfigurationError(f"{name} must be finite, got {bounds.tolist()}")
         if not np.all(lower < upper):
             raise ConfigurationError("lower_bounds must be strictly below upper_bounds")
+        with np.errstate(over="ignore"):
+            span = upper - lower
+        if not np.all(np.isfinite(span)):
+            raise ConfigurationError(
+                "upper_bounds - lower_bounds must be finite, got lower_bounds="
+                f"{lower.tolist()}, upper_bounds={upper.tolist()}"
+            )
         if self.known_minimizer is not None:
             object.__setattr__(
                 self, "known_minimizer", np.asarray(self.known_minimizer, dtype=float)
@@ -188,6 +203,16 @@ def reward_best(state: SwarmState, params: AlgorithmParams) -> None:
         state.best_holder_index = best_i
 
 
+def mean_fitness(fit: np.ndarray) -> float:
+    """``fsum(fit) / len(fit)``, bit for bit; where finite fitnesses sum past the
+    float range, the same mean taken over ``fit`` scaled down by a power of two."""
+    try:
+        return math.fsum(fit.tolist()) / len(fit)
+    except OverflowError:  # fsum's "intermediate overflow"
+        scale = 2.0 ** len(fit).bit_length()  # above len(fit), so the scaled sum is finite
+        return math.fsum((fit / scale).tolist()) / len(fit) * scale
+
+
 def socialization(state: SwarmState, params: AlgorithmParams) -> None:
     """Shift experience toward particles beating the swarm's mean fitness.
 
@@ -195,8 +220,7 @@ def socialization(state: SwarmState, params: AlgorithmParams) -> None:
     it gain one and receive an interactivity boost with a fresh random factor
     each.
     """
-    mean = math.fsum(state.fit.tolist()) / len(state.fit)
-    below = state.fit < mean
+    below = state.fit < mean_fitness(state.fit)
     state.ex += np.where(below, 1, -1)
     ir = state.ir[below]
     state.ir[below] = np.minimum(ir + state.rng.draw(len(ir)) * ir, params.max_ir)
@@ -338,11 +362,61 @@ def iterate(state: SwarmState, params: AlgorithmParams, problem: ObjectiveProble
     state.history.append(state.global_best_fitness)
 
 
+def collapsed(state: SwarmState, problem: ObjectiveProblem) -> bool:
+    """Whether every particle sits on the archived best for good, at an iteration's end.
+
+    True when every fitness is the archived best's, every position is the
+    archived point bit for bit, and a zero step from that point, clamped as
+    :func:`move_toward_best` clamps, lands on it bit for bit (so it has no
+    ``-0.0`` coordinate and lies in the box): then every later move is
+    parked and changes no position, fitness or archive.  No fitness is below
+    the archive's at an iteration's end, so most swarms cost one reduction.
+    """
+    if state.fit.max() != state.global_best_fitness:
+        return False
+    best = state.global_best_position
+    bits = best.view(np.int64)
+    landing = np.minimum(np.maximum(best + 0.0, problem.lower_bounds), problem.upper_bounds)
+    return bool(
+        (landing.view(np.int64) == bits).all() and (state.pos.view(np.int64) == bits).all()
+    )
+
+
+def fast_forward(state: SwarmState, iterations: int) -> None:
+    """Account for ``iterations`` iterations of a :func:`collapsed` swarm.
+
+    Leaves ``ex``, ``eval_count`` and ``history`` as ``iterate`` would; ``ir``
+    and the random stream stay put.  In each iteration socialization adds the
+    same +1 or -1 to every ``ex`` (the fitnesses are equal), ``reward_best``
+    credits index 0 (the argmin of equal values) twice before rationalizing
+    and once after, and every move is parked: the N - 1 particles
+    ``iterate`` moves and the ``count(ex < 0)`` that rationalizing moves.
+    """
+    rate = np.where(state.fit < mean_fitness(state.fit), 1, -1)
+    rate[0] += 3
+    # rationalizing in the t-th iteration (t = 1 .. iterations) sees start + rate * t,
+    # which is negative for t <= (-start - 1) // rate if rate > 0, and for t > start if rate == -1
+    start = state.ex.copy()
+    start[0] -= 1  # balancing's credit is still to come
+    negative = np.where(rate > 0, (-start - 1) // rate, iterations - start).clip(0, iterations)
+    state.eval_count += (len(rate) - 1) * iterations + int(negative.sum())
+    state.ex += rate * iterations
+    state.history.extend([state.global_best_fitness] * iterations)
+
+
 def run(params: AlgorithmParams, problem: ObjectiveProblem, seed: int) -> RunResult:
-    """Full optimization: initialize, iterate to the budget, package the archive."""
+    """Full optimization: initialize, iterate to the budget, package the archive.
+
+    Once the swarm has :func:`collapsed` onto its best, the rest of the budget
+    is finished by :func:`fast_forward`, which gives the ``RunResult`` that
+    iterating would, bit for bit, without advancing ``ir`` or the random stream.
+    """
     state = initialize(params, problem, seed)
-    for _ in range(params.max_iterations):
+    for done in range(1, params.max_iterations + 1):
         iterate(state, params, problem)
+        if collapsed(state, problem):
+            fast_forward(state, params.max_iterations - done)
+            break
     return RunResult(
         best_fitness=state.global_best_fitness,
         best_position=tuple(state.global_best_position.tolist()),

@@ -2,6 +2,7 @@
 
 import importlib.util
 import inspect
+import math
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from codoa.engine import (
     initialize,
     iterate,
     maturation,
+    mean_fitness,
     move_toward_best,
     rationalizing,
     socialization,
@@ -71,6 +73,18 @@ class TestSocialization:
         state = make_state(fitness=[1.0, 3.0], ir=[0.5, 0.5], rng=PinnedStream(0.0))
         socialization(state, PARAMS)
         assert state.ir[0] == 0.5
+
+    def test_finite_fitnesses_summing_past_the_float_range(self):
+        # fsum raises OverflowError on these
+        state = make_state(fitness=[1e308, 1.7e308, 1.3e308, 1.5e308])
+        assert mean_fitness(state.fit) == pytest.approx(1.375e308, rel=1e-15)
+        socialization(state, PARAMS)
+        assert state.ex.tolist() == [1, -1, 1, -1]
+
+    def test_a_run_whose_fitnesses_sum_past_the_float_range(self):
+        problem = box_problem([-1.0, -1.0], [1.0, 1.0], lambda x: 1e308 * (1.0 + float(x @ x)))
+        result = engine.run(AlgorithmParams(num_particles=4, max_iterations=3), problem, seed=1)
+        assert math.isfinite(result.best_fitness)
 
 
 class TestDecayAllIr:

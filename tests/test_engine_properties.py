@@ -12,6 +12,7 @@ from codoa.engine import (
     AlgorithmParams,
     initialize,
     iterate,
+    mean_fitness,
     reward_best,
     run,
     socialization,
@@ -70,6 +71,13 @@ def test_socialization_conserves_experience_flow(fitnesses):
     assert gained == sum(1 for f in fitnesses if f < mean)
     assert lost == len(fitnesses) - gained
     assert gained + lost == len(state.ex)
+
+
+@given(st.lists(st.floats(min_value=-1e306, max_value=1e306),
+                min_size=2, max_size=20))
+def test_mean_fitness_is_fsum_over_n_bit_for_bit(fitnesses):
+    mean = mean_fitness(np.array(fitnesses))
+    assert mean.hex() == (math.fsum(fitnesses) / len(fitnesses)).hex()
 
 
 @given(st.lists(finite_fitness, min_size=2, max_size=20),

@@ -151,6 +151,10 @@ class TestObjectiveProblem:
         with pytest.raises(ConfigurationError, match="upper_bounds"):
             ObjectiveProblem(2, [0.0, 0.0], [1.0, bad], lambda x: 0.0)
 
+    def test_rejects_bounds_whose_width_overflows(self):
+        with pytest.raises(ConfigurationError, match="upper_bounds - lower_bounds"):
+            ObjectiveProblem(2, [-1e308] * 2, [1e308] * 2, lambda x: 0.0)
+
     def test_rejects_nonpositive_dimension(self):
         with pytest.raises(ConfigurationError, match="dimension"):
             ObjectiveProblem(0, [], [], lambda x: 0.0)
