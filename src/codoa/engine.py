@@ -22,19 +22,15 @@ deterministic runs already require.  It may carry a ``batch`` attribute
 mapping a (k, d) array to k fitnesses: the same values, bit for bit, as
 calling the evaluator on each row, or else leave it off.  Particles are
 evaluated where they move, all moved rows in one call (without ``batch``,
-one by one in index order), so ``fit[i] == f(pos[i])`` always.  A moved
-particle whose fitness equals the archived best's and whose new position is
-the archived point, bit for bit, keeps its fitness without a call, but
-counts in ``eval_count``: that counts particle evaluations, and the
-objective is called at most that many times.
+one by one in index order), so ``fit[i] == f(pos[i])`` always.
 
 Swarms collapse: every particle comes to sit on the archived best, bit for
 bit (see :func:`collapsed`; booth-2 runs at the reference settings do so at
-iterations 155-209).  From then on every move lands back on the best and is
-parked, so ``run`` finishes the budget with the bookkeeping of
-:func:`fast_forward` alone, and its ``RunResult`` is the one that iterating
-gives, bit for bit.  ``iterate`` still runs every phase; only ``run``, which
-exposes neither, stops advancing ``ir`` and the random stream.
+iterations 155-209).  From then on every move lands on the archived point
+and gets its fitness again, so ``run`` finishes the budget with the
+bookkeeping of :func:`fast_forward` alone, and its ``RunResult`` is the one
+that iterating gives, bit for bit.  ``iterate`` still runs every phase; only
+``run``, which exposes neither, stops advancing ``ir`` and the random stream.
 """
 
 from __future__ import annotations
@@ -173,9 +169,9 @@ class SwarmState:
 class RunResult:
     """Outcome of one seeded run; plain tuples so results compare exactly.
 
-    ``eval_count`` counts particle evaluations, including those that reuse
-    the archived best's fitness; the objective was called at most that many
-    times.
+    ``eval_count`` counts particle evaluations, including those that
+    :func:`fast_forward` accounts for after the swarm :func:`collapsed`; the
+    objective was called at most that many times.
     """
 
     best_fitness: float
@@ -240,8 +236,8 @@ def move_toward_best(
 
     Each coordinate steps a random fraction of ``ir`` times the remaining
     gap, so steps overshoot the target when ``ir`` exceeds 1.  Moved
-    particles are clamped to the box and evaluated, bar those that keep the
-    archived best's fitness (see the module notes).
+    particles are clamped to the box and evaluated; those that land on the
+    archived point get its fitness again.
     """
     rows = selected.nonzero()[0]
     k = len(rows)
@@ -254,16 +250,7 @@ def move_toward_best(
     np.maximum(moved, problem.lower_bounds, out=moved)  # np.clip without its Python wrapper
     np.minimum(moved, problem.upper_bounds, out=moved)
     state.pos[rows] = moved
-    # fitness compares as floats: a kept zero may differ in sign from f's, which no
-    # phase can tell apart; positions compare as bits, so -0.0 -> +0.0 is a move
-    parked = state.fit.take(rows) == state.global_best_fitness
-    if parked.any():
-        parked &= (moved.view(np.int64) == best.view(np.int64)).all(axis=1)
-        fresh = ~parked
-        rows, moved = rows[fresh], moved[fresh]
-        state.eval_count += k - len(rows)
-    if len(rows):
-        evaluate_swarm(state, problem, rows, moved)
+    evaluate_swarm(state, problem, rows, moved)
 
 
 def evaluate_swarm(
@@ -279,9 +266,7 @@ def evaluate_swarm(
         values = np.array([float(problem.evaluator(x)) for x in points])
     else:
         values = np.asarray(batch(points), dtype=float)
-    if not math.isfinite(values.sum()):  # finite unless some value is (or the sum overflows)
-        values = np.where(np.isfinite(values), values, math.inf)
-    state.fit[rows] = values
+    state.fit[rows] = np.where(np.isfinite(values), values, math.inf)
     state.eval_count += len(rows)
 
 
@@ -368,9 +353,10 @@ def collapsed(state: SwarmState, problem: ObjectiveProblem) -> bool:
     True when every fitness is the archived best's, every position is the
     archived point bit for bit, and a zero step from that point, clamped as
     :func:`move_toward_best` clamps, lands on it bit for bit (so it has no
-    ``-0.0`` coordinate and lies in the box): then every later move is
-    parked and changes no position, fitness or archive.  No fitness is below
-    the archive's at an iteration's end, so most swarms cost one reduction.
+    ``-0.0`` coordinate and lies in the box): then every later move lands on
+    the archived point and gets its fitness again, so it changes no position,
+    fitness or archive.  No fitness is below the archive's at an iteration's
+    end, so most swarms cost one reduction.
     """
     if state.fit.max() != state.global_best_fitness:
         return False
@@ -389,8 +375,9 @@ def fast_forward(state: SwarmState, iterations: int) -> None:
     and the random stream stay put.  In each iteration socialization adds the
     same +1 or -1 to every ``ex`` (the fitnesses are equal), ``reward_best``
     credits index 0 (the argmin of equal values) twice before rationalizing
-    and once after, and every move is parked: the N - 1 particles
-    ``iterate`` moves and the ``count(ex < 0)`` that rationalizing moves.
+    and once after, and every move lands on the archived point and gets its
+    fitness again: one evaluation each for the N - 1 particles ``iterate``
+    moves and the ``count(ex < 0)`` that rationalizing moves.
     """
     rate = np.where(state.fit < mean_fitness(state.fit), 1, -1)
     rate[0] += 3

@@ -117,7 +117,8 @@ def test_fast_forward_equals_iterating_a_collapsed_swarm(ex, holder, fitness, it
 
 
 class TestCollapsed:
-    """Only a swarm whose every later move is parked counts as collapsed."""
+    """Only a swarm whose every later move lands on the archived point, and gets
+    its fitness again, counts as collapsed."""
 
     BEST = [1.0, 3.0]
 

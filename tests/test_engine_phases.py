@@ -211,29 +211,38 @@ def logged_sphere(path):
     return box_problem([-10.0, -10.0], [10.0, 10.0], objective), seen
 
 
-class TestArchiveReuse:
-    """A moved particle whose fitness equals the archived best's and whose new
-    position is the archived point, bit for bit, keeps its fitness without an
-    objective call."""
+class TestEveryMoveIsEvaluated:
+    """Every moved particle is evaluated, on the batch path and the row path,
+    including one that moves onto the archived point from the archived fitness."""
 
     @pytest.mark.parametrize("path", ["batch", "rows"])
-    @pytest.mark.parametrize("start, ir, u, evaluated", [
-        pytest.param([1.0, 0.0], 0.5, 0.5, False, id="parked"),
-        pytest.param([-1.0, 0.0], 4.0, 0.5, True, id="tied-fitness-elsewhere"),
-        pytest.param([-1.0, 0.0], 1.0, 1.0, False, id="tied-fitness-lands-on-best"),
-        pytest.param([3.0, 0.0], 1.0, 1.0, True, id="other-fitness-lands-on-best"),
+    @pytest.mark.parametrize("start, ir, u", [
+        pytest.param([1.0, 0.0], 0.5, 0.5, id="archive-fitness-onto-its-point"),
+        pytest.param([-1.0, 0.0], 4.0, 0.5, id="tied-fitness-elsewhere"),
+        pytest.param([-1.0, 0.0], 1.0, 1.0, id="tied-fitness-lands-on-best"),
+        pytest.param([3.0, 0.0], 1.0, 1.0, id="other-fitness-lands-on-best"),
     ])
-    def test_only_a_move_from_the_archive_fitness_onto_its_point_is_reused(
-        self, path, start, ir, u, evaluated
-    ):
+    def test_a_moved_particle_is_evaluated(self, path, start, ir, u):
         problem, seen = logged_sphere(path)
         # the archive is particle 0 at (1, 0), fitness 1; particle 1 moves
         state = make_state(fitness=[1.0, sphere_loop(start)], ir=[ir, ir],
                            positions=[[1.0, 0.0], start], rng=PinnedStream(u))
         move_toward_best(state, problem, mask(2, 1))
-        assert seen == ([state.pos[1].tolist()] if evaluated else [])
+        assert seen == [state.pos[1].tolist()]
         assert state.eval_count == 1 and type(state.eval_count) is int
         assert_iteration_boundary(state, PARAMS, box_problem([-10.0, -10.0], [10.0, 10.0]))
+
+    @pytest.mark.parametrize("path", ["batch", "rows"])
+    def test_every_moved_row_is_evaluated_in_index_order(self, path):
+        problem, seen = logged_sphere(path)
+        # particles 0, 1 and 3 sit on the archived point (1, 0) with its fitness
+        state = make_state(fitness=[1.0, 1.0, 9.0, 1.0], ir=[0.5] * 4,
+                           positions=[[1.0, 0.0], [1.0, 0.0], [3.0, 0.0], [1.0, 0.0]],
+                           holder=1, rng=PinnedStream(0.5))
+        move_toward_best(state, problem, mask(4, 0, 2, 3))
+        assert seen == [[1.0, 0.0], [2.5, 0.0], [1.0, 0.0]]
+        assert state.fit.tolist() == [1.0, 1.0, 6.25, 1.0]
+        assert state.eval_count == 3
 
     @pytest.mark.parametrize("path", ["batch", "rows"])
     def test_a_minus_zero_coordinate_turned_plus_zero_is_a_move(self, path):
