@@ -20,7 +20,6 @@ from codoa.harness import (
     ExperimentConfig,
     ExperimentReport,
     RunStatistics,
-    load_config,
     run_experiment,
     table2_grid,
     write_report,
@@ -44,7 +43,6 @@ __all__ = [
     "SwarmState",
     "initialize",
     "iterate",
-    "load_config",
     "make_problem",
     "run",
     "run_experiment",

@@ -73,7 +73,7 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
                      help="runs per entry (default %(default)s)")
     sub.add_argument("--seed", type=int, default=ExperimentConfig.base_seed,
                      help="base seed; run k uses seed+k (default %(default)s)")
-    sub.add_argument("--format", choices=REPORT_FORMATS, default=ExperimentConfig.output_format,
+    sub.add_argument("--format", choices=REPORT_FORMATS, default=REPORT_FORMATS[0],
                      help="report format (default %(default)s)")
     sub.add_argument("--out", metavar="PATH", help="report destination (default stdout)")
     sub.add_argument("--workers", type=int, default=1,
@@ -97,6 +97,8 @@ def _check_destination(path: Optional[str]) -> None:
     """Fail before any run unless ``path`` is a non-directory in an existing directory."""
     if path is None:
         return
+    if path == "":
+        raise ConfigurationError("--out must be a non-empty path")
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise ConfigurationError(f"--out {path!r}: {folder!r} is not an existing directory")
@@ -114,8 +116,6 @@ def cmd_run(ns: argparse.Namespace) -> int:
         runs_per_entry=ns.runs,
         base_seed=ns.seed,
         params=params,
-        output_format=ns.format,
-        output_path=ns.out,
     )
     _check_destination(ns.out)
     report = run_experiment(config, workers=ns.workers)
@@ -135,16 +135,10 @@ def cmd_run(ns: argparse.Namespace) -> int:
 
 def cmd_table2(ns: argparse.Namespace) -> int:
     """Run the full reference grid and write the report."""
-    config = replace(
-        table2_grid(),
-        runs_per_entry=ns.runs,
-        base_seed=ns.seed,
-        output_format=ns.format,
-        output_path=ns.out,
-    )
+    config = replace(table2_grid(), runs_per_entry=ns.runs, base_seed=ns.seed)
     _check_destination(ns.out)
     report = run_experiment(config, workers=ns.workers)
-    write_report(report, config.output_format, config.output_path)
+    write_report(report, ns.format, ns.out)
     return 0
 
 

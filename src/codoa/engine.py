@@ -123,17 +123,8 @@ class ObjectiveProblem:
         check_fields(self)
         if self.dimension < 1:
             raise ConfigurationError(f"dimension must be positive, got {self.dimension}")
-        lower = np.asarray(self.lower_bounds, dtype=float)
-        upper = np.asarray(self.upper_bounds, dtype=float)
-        object.__setattr__(self, "lower_bounds", lower)
-        object.__setattr__(self, "upper_bounds", upper)
-        for name, bounds in (("lower_bounds", lower), ("upper_bounds", upper)):
-            if bounds.shape != (self.dimension,):
-                raise ConfigurationError(
-                    f"{name} must have shape ({self.dimension},), got {bounds.shape}"
-                )
-            if not np.all(np.isfinite(bounds)):
-                raise ConfigurationError(f"{name} must be finite, got {bounds.tolist()}")
+        lower = self._point("lower_bounds")
+        upper = self._point("upper_bounds")
         if not np.all(lower < upper):
             raise ConfigurationError("lower_bounds must be strictly below upper_bounds")
         with np.errstate(over="ignore"):
@@ -143,10 +134,27 @@ class ObjectiveProblem:
                 "upper_bounds - lower_bounds must be finite, got lower_bounds="
                 f"{lower.tolist()}, upper_bounds={upper.tolist()}"
             )
+        if self.known_minimum_value is not None:
+            checked("known_minimum_value", self.known_minimum_value, "float")
         if self.known_minimizer is not None:
-            object.__setattr__(
-                self, "known_minimizer", np.asarray(self.known_minimizer, dtype=float)
+            self._point("known_minimizer")
+
+    def _point(self, name: str) -> np.ndarray:
+        """Store field ``name`` as a finite float array of shape ``(dimension,)``, and return it."""
+        try:
+            point = np.asarray(getattr(self, name), dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigurationError(
+                f"{name} must be an array of numbers, got {getattr(self, name)!r}"
+            ) from None
+        if point.shape != (self.dimension,):
+            raise ConfigurationError(
+                f"{name} must have shape ({self.dimension},), got {point.shape}"
             )
+        if not np.all(np.isfinite(point)):
+            raise ConfigurationError(f"{name} must be finite, got {point.tolist()}")
+        object.__setattr__(self, name, point)
+        return point
 
 
 @dataclass(eq=False)
@@ -259,13 +267,20 @@ def evaluate_swarm(
     """Set the fitness of the particles at index array ``rows`` to that of ``points``.
 
     ``points`` holds their positions, one row each; they are evaluated batched
-    if possible, and a non-finite value becomes +inf.
+    if possible, and a non-finite value becomes +inf.  A ``batch`` result that
+    is not one real number per row raises ConfigurationError.
     """
     batch = getattr(problem.evaluator, "batch", None)
     if batch is None:
         values = np.array([float(problem.evaluator(x)) for x in points])
     else:
-        values = np.asarray(batch(points), dtype=float)
+        values = np.asarray(batch(points))
+        if values.shape != (len(rows),) or values.dtype.kind not in "fiu":
+            raise ConfigurationError(
+                f"evaluator.batch must return real numbers of shape ({len(rows)},), "
+                f"got shape {values.shape} of dtype {values.dtype}"
+            )
+        values = values.astype(float, copy=False)
     state.fit[rows] = np.where(np.isfinite(values), values, math.inf)
     state.eval_count += len(rows)
 

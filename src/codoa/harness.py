@@ -15,8 +15,7 @@ import os
 import statistics
 import sys
 import threading
-from dataclasses import asdict, dataclass, fields
-from typing import Optional
+from dataclasses import asdict, dataclass
 
 from codoa.benchmarks import REGISTRY, make_problem
 from codoa.engine import AlgorithmParams, ConfigurationError, RunResult, check_fields, checked, run
@@ -54,8 +53,6 @@ class ExperimentConfig:
     runs_per_entry: int = 10
     base_seed: int = 1
     params: AlgorithmParams = AlgorithmParams()
-    output_format: str = "csv"
-    output_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -81,11 +78,6 @@ class ExperimentConfig:
             raise ConfigurationError(f"base_seed must be non-negative, got {self.base_seed}")
         if not isinstance(self.params, AlgorithmParams):
             raise ConfigurationError(f"params must be an AlgorithmParams, got {self.params!r}")
-        check_format(self.output_format)
-        if not isinstance(self.output_path, (str, type(None))) or self.output_path == "":
-            raise ConfigurationError(
-                f"output_path must be a non-empty string or null, got {self.output_path!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -319,28 +311,3 @@ def _emit(report: ExperimentReport, output_format: str, fh) -> None:
     for entry in report.entries:
         row = _entry_row(report, entry)
         writer.writerow([_cell(row[col]) for col in REPORT_COLUMNS])
-
-
-_PARAM_KEYS = tuple(f.name for f in fields(AlgorithmParams))
-_TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "params")
-
-
-def load_config(path) -> ExperimentConfig:
-    """Load an experiment configuration from a flat JSON document.
-
-    Recognized keys are the experiment fields (``entries``,
-    ``runs_per_entry``, ``base_seed``, ``output_format``, ``output_path``)
-    plus the algorithm parameter names inlined at top level.  Unknown keys
-    are an error; absent keys take the dataclass defaults.
-    """
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigurationError("experiment config must be a JSON object")
-    unknown = sorted(set(doc) - set(_TOP_KEYS) - set(_PARAM_KEYS))
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
-    if "entries" not in doc:
-        raise ConfigurationError("experiment config is missing 'entries'")
-    params = AlgorithmParams(**{k: doc[k] for k in _PARAM_KEYS if k in doc})
-    return ExperimentConfig(params=params, **{k: doc[k] for k in _TOP_KEYS if k in doc})

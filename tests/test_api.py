@@ -17,7 +17,6 @@ PUBLIC_NAMES = [
     "SwarmState",
     "initialize",
     "iterate",
-    "load_config",
     "make_problem",
     "run",
     "run_experiment",

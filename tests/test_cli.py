@@ -98,7 +98,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("subcommand", [["run", "--function", "booth"], ["table2"]])
     @pytest.mark.parametrize("out, named", [
-        ("", "output_path"), ("missing/r.csv", "missing"), (".", "is a directory"),
+        ("", "--out"), ("missing/r.csv", "missing"), (".", "is a directory"),
     ])
     def test_bad_destination_exits_one_before_any_run(self, subcommand, out, named, tmp_path,
                                                       monkeypatch, capsys):

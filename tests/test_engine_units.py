@@ -164,6 +164,18 @@ class TestObjectiveProblem:
         with pytest.raises(ConfigurationError, match="dimension"):
             ObjectiveProblem(dimension, [0.0, 0.0], [1.0, 1.0], lambda x: 0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("known_minimum_value", "x"),
+        ("known_minimum_value", math.nan),
+        ("known_minimum_value", True),
+        ("known_minimizer", [0.0, 0.0, 0.0]),
+        ("known_minimizer", [0.0, math.inf]),
+        ("known_minimizer", "x"),
+    ])
+    def test_rejects_a_bad_known_minimum_naming_the_field(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ObjectiveProblem(2, [0.0, 0.0], [1.0, 1.0], lambda x: 0.0, **{field: value})
+
 
 class TestRewardBest:
     def test_boosts_the_fittest_and_credits_experience(self):
@@ -275,6 +287,24 @@ class TestEvaluationPaths:
         rows = np.arange(2)
         evaluate_swarm(state, swapped, rows, state.pos[rows])
         assert state.fit.tolist() == [2.0, 5.0]
+
+    @pytest.mark.parametrize("batch", [
+        pytest.param(lambda points: 5.0, id="scalar"),
+        pytest.param(lambda points: np.square(points).sum(axis=1)[:1], id="first value"),
+        pytest.param(lambda points: ["1"] * len(points), id="numeric strings"),
+        pytest.param(lambda points: np.square(points).sum(axis=1, keepdims=True), id="column"),
+        pytest.param(lambda points: np.square(points).sum(axis=1)[:-1], id="one short"),
+    ])
+    def test_batch_result_that_is_not_one_real_per_row_is_rejected(self, batch):
+        def objective(x):
+            return float(np.square(x).sum())
+
+        objective.batch = batch
+        state = self._unevaluated_state([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        rows = np.arange(3)
+        with pytest.raises(ConfigurationError, match=r"evaluator\.batch .*\(3,\)"):
+            evaluate_swarm(state, box_problem([-5.0, -5.0], [5.0, 5.0], objective), rows,
+                           state.pos[rows])
 
     @pytest.mark.parametrize("path", ["batch", "rows"])
     def test_non_finite_values_become_plus_infinity_on_both_paths(self, path):
