@@ -176,6 +176,18 @@ class TestObjectiveProblem:
         with pytest.raises(ConfigurationError, match=field):
             ObjectiveProblem(2, [0.0, 0.0], [1.0, 1.0], lambda x: 0.0, **{field: value})
 
+    @pytest.mark.parametrize("value", [None, 0, -1.5, np.float64(2.0), np.int64(3)])
+    def test_accepts_a_finite_real_known_minimum_value_or_none(self, value):
+        problem = ObjectiveProblem(2, [0.0, 0.0], [1.0, 1.0], lambda x: 0.0,
+                                   known_minimum_value=value)
+        assert problem.known_minimum_value == value
+
+    def test_known_minimizer_is_stored_as_a_float_array(self):
+        problem = ObjectiveProblem(2, [0.0, 0.0], [1.0, 1.0], lambda x: 0.0,
+                                   known_minimizer=[1, 0])
+        assert problem.known_minimizer.dtype == np.float64
+        assert problem.known_minimizer.tolist() == [1.0, 0.0]
+
 
 class TestRewardBest:
     def test_boosts_the_fittest_and_credits_experience(self):
@@ -294,6 +306,8 @@ class TestEvaluationPaths:
         pytest.param(lambda points: ["1"] * len(points), id="numeric strings"),
         pytest.param(lambda points: np.square(points).sum(axis=1, keepdims=True), id="column"),
         pytest.param(lambda points: np.square(points).sum(axis=1)[:-1], id="one short"),
+        pytest.param(lambda points: np.ones(len(points), dtype=bool), id="bools"),
+        pytest.param(lambda points: [None] * len(points), id="nones"),
     ])
     def test_batch_result_that_is_not_one_real_per_row_is_rejected(self, batch):
         def objective(x):
@@ -305,6 +319,19 @@ class TestEvaluationPaths:
         with pytest.raises(ConfigurationError, match=r"evaluator\.batch .*\(3,\)"):
             evaluate_swarm(state, box_problem([-5.0, -5.0], [5.0, 5.0], objective), rows,
                            state.pos[rows])
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float32])
+    def test_batch_result_of_integers_or_narrow_floats_is_stored_as_float(self, dtype):
+        def objective(x):
+            return float(np.square(x).sum())
+
+        objective.batch = lambda points: np.square(points).sum(axis=1).astype(dtype)
+        state = self._unevaluated_state([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        rows = np.arange(3)
+        evaluate_swarm(state, box_problem([-5.0, -5.0], [5.0, 5.0], objective), rows,
+                       state.pos[rows])
+        assert state.fit.dtype == np.float64
+        assert state.fit.tolist() == [1.0, 4.0, 9.0]
 
     @pytest.mark.parametrize("path", ["batch", "rows"])
     def test_non_finite_values_become_plus_infinity_on_both_paths(self, path):
