@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from codoa.engine import ConfigurationError, ObjectiveProblem
+from codoa.engine import ConfigurationError, ObjectiveProblem, checked
 
 
 def booth(x: float, y: float) -> float:
@@ -132,12 +132,16 @@ REGISTRY: dict[str, BenchmarkSpec] = {
 }
 
 
+MAX_DIMENSION = 100_000  # a 50-particle swarm of this dimension holds 40 MB of positions
+
+
 def make_problem(name: str, dimension: int = 2) -> ObjectiveProblem:
     """Build the named benchmark as a box-constrained problem.
 
     The five two-dimensional functions accept only ``dimension=2``; sphere
-    and rosenbrock accept any ``dimension >= 2`` whose bound lists can be built.
+    and rosenbrock accept any integer ``dimension`` from 2 to ``MAX_DIMENSION``.
     """
+    dimension = checked("dimension", dimension, "int")
     spec = REGISTRY.get(name)
     if spec is None:
         raise ConfigurationError(
@@ -148,15 +152,13 @@ def make_problem(name: str, dimension: int = 2) -> ObjectiveProblem:
             f"function {name!r} is fixed to dimension {spec.fixed_dimension}, "
             f"got dimension={dimension}"
         )
-    if spec.fixed_dimension is None and dimension < 2:
+    if spec.fixed_dimension is None and not 2 <= dimension <= MAX_DIMENSION:
         raise ConfigurationError(
-            f"function {name!r} needs dimension >= 2, got dimension={dimension}"
+            f"function {name!r} needs 2 <= dimension <= {MAX_DIMENSION}, "
+            f"got dimension={dimension}"
         )
-    try:
-        bounds = spec.bounds * dimension if len(spec.bounds) == 1 else spec.bounds
-        minimizer = spec.minimizer * dimension if len(spec.minimizer) == 1 else spec.minimizer
-    except (MemoryError, OverflowError):
-        raise ConfigurationError(f"function {name!r} cannot hold dimension={dimension}") from None
+    bounds = spec.bounds * dimension if len(spec.bounds) == 1 else spec.bounds
+    minimizer = spec.minimizer * dimension if len(spec.minimizer) == 1 else spec.minimizer
     return ObjectiveProblem(
         dimension=dimension,
         lower_bounds=np.array([b[0] for b in bounds]),

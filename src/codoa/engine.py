@@ -266,23 +266,31 @@ def evaluate_swarm(
 ) -> None:
     """Set the fitness of the particles at index array ``rows`` to that of ``points``.
 
-    ``points`` holds their positions, one row each; they are evaluated batched
-    if possible, and a non-finite value becomes +inf.  A ``batch`` result that
-    is not one real number per row raises ConfigurationError.
+    ``points`` holds their positions, one row each (see :func:`fitness_of`).
+    """
+    state.fit[rows] = fitness_of(problem, points)
+    state.eval_count += len(rows)
+
+
+def fitness_of(problem: ObjectiveProblem, points: np.ndarray) -> np.ndarray:
+    """The fitnesses of ``points`` (a (k, d) array), with every non-finite value +inf.
+
+    They are evaluated in one ``batch`` call if the evaluator has one, else
+    one by one in row order.  Either way the values must be one real number
+    per point (a bool is not one), or ConfigurationError names the evaluator.
     """
     batch = getattr(problem.evaluator, "batch", None)
     if batch is None:
-        values = np.array([float(problem.evaluator(x)) for x in points])
+        source, values = "evaluator", np.asarray([problem.evaluator(x) for x in points])
     else:
-        values = np.asarray(batch(points))
-        if values.shape != (len(rows),) or values.dtype.kind not in "fiu":
-            raise ConfigurationError(
-                f"evaluator.batch must return real numbers of shape ({len(rows)},), "
-                f"got shape {values.shape} of dtype {values.dtype}"
-            )
-        values = values.astype(float, copy=False)
-    state.fit[rows] = np.where(np.isfinite(values), values, math.inf)
-    state.eval_count += len(rows)
+        source, values = "evaluator.batch", np.asarray(batch(points))
+    if values.shape != (len(points),) or values.dtype.kind not in "fiu":
+        raise ConfigurationError(
+            f"{source} must give one real number per point, shape ({len(points)},) in all; "
+            f"got shape {values.shape} of dtype {values.dtype}"
+        )
+    values = values.astype(float, copy=False)
+    return np.where(np.isfinite(values), values, math.inf)
 
 
 def maturation(state: SwarmState, params: AlgorithmParams) -> None:

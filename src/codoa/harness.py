@@ -2,8 +2,10 @@
 
 Runs are reproducible: run ``k`` of every entry uses ``base_seed + k``, so
 per-entry results are independent of entry order and of the execution
-schedule.  Reports carry best/worst/mean/median plus the sample standard
-deviation (n - 1 denominator).
+schedule, pooled calls included, which run each worker's chunk of an entry's
+seeds in lockstep (see ``codoa.lockstep``).  Reports carry
+best/worst/mean/median plus the sample standard deviation (n - 1
+denominator).
 """
 
 from __future__ import annotations
@@ -129,6 +131,14 @@ def _run_job(job: tuple[str, int, AlgorithmParams, int]) -> RunResult:
     return run(params, make_problem(name, dimension), seed)
 
 
+def _run_chunk(job: tuple[str, int, AlgorithmParams, tuple[int, ...]]) -> list[RunResult]:
+    """The runs of one entry at each of the job's seeds, in lockstep (see codoa.lockstep)."""
+    from codoa.lockstep import run_many  # only where a pool runs it
+
+    name, dimension, params, seeds = job
+    return run_many(params, make_problem(name, dimension), seeds)
+
+
 _pool = None  # (processes, registry, executor) that pooled calls share, started by the first
 _pool_lock = threading.RLock()  # held by each pooled call, so one runs at a time
 _parent_pools = []  # in a forked child: the parent's pool, never used nor collected
@@ -161,7 +171,7 @@ if hasattr(os, "register_at_fork"):  # absent where there is no fork
 
 
 def _pool_map(jobs: list, processes: int) -> list:
-    """``_run_job`` over ``jobs``, in order, in the shared pool of ``processes``.
+    """``_run_chunk`` over ``jobs``, in order, in the shared pool of ``processes``.
 
     The pool is started on first use and kept for later calls.  A call that
     needs another process count, or finds ``REGISTRY`` changed since the pool
@@ -182,11 +192,11 @@ def _pool_map(jobs: list, processes: int) -> list:
             _pool = (processes, registry, ProcessPoolExecutor(max_workers=processes))
         try:
             try:
-                results = _pool[2].map(_run_job, jobs)  # submits every job before it returns
+                results = _pool[2].map(_run_chunk, jobs)  # submits every job before it returns
             except BrokenProcessPool:
                 _close_pool()
                 _pool = (processes, registry, ProcessPoolExecutor(max_workers=processes))
-                results = _pool[2].map(_run_job, jobs)
+                results = _pool[2].map(_run_chunk, jobs)
             return list(results)
         except BaseException:
             _close_pool()
@@ -196,28 +206,34 @@ def _pool_map(jobs: list, processes: int) -> list:
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     """Execute every entry of the experiment and collect statistics.
 
-    ``workers`` is an integer of at least 1.  Above 1, the independent
-    (entry, run) jobs run in a process pool of at most one process per job,
-    which later calls needing as many processes reuse; results are collected
-    in (entry index, run index) order, so the report is identical to a serial
+    ``workers`` is an integer of at least 1.  At 1, each run is one call of
+    ``run``.  Above 1, each entry's seeds are split into ``min(workers, runs)``
+    contiguous chunks, and the chunks run in a process pool of at most one
+    process per chunk, which later calls needing as many processes reuse; a
+    chunk of several seeds runs them in lockstep (see ``codoa.lockstep``),
+    which gives each run's result bit for bit.  Results are collected in
+    (entry index, run index) order, so the report is identical to a serial
     execution.
     """
     workers = checked("workers", workers, "int")
     if workers < 1:
         raise ConfigurationError(f"workers must be at least 1, got {workers}")
+    n = config.runs_per_entry
+    seeds = range(config.base_seed, config.base_seed + n)
+    chunks = min(workers, n)
     jobs = [
-        (name, dim, config.params, config.base_seed + k)
+        (name, dim, config.params, tuple(part))
         for name, dim in config.entries
-        for k in range(config.runs_per_entry)
+        for part in (seeds[k * n // chunks : (k + 1) * n // chunks] for k in range(chunks))
     ]
     workers = min(workers, len(jobs))  # the pool starts every process it may use at once
     if workers > 1:
-        results = _pool_map(jobs, workers)
+        results = [result for chunk in _pool_map(jobs, workers) for result in chunk]
     else:
-        results = [_run_job(job) for job in jobs]
+        results = [_run_job((name, dim, params, seed)) for name, dim, params, part in jobs
+                   for seed in part]
 
     entry_reports = []
-    n = config.runs_per_entry
     for idx, (name, dim) in enumerate(config.entries):
         bests = [r.best_fitness for r in results[idx * n : (idx + 1) * n]]
         stats = RunStatistics.from_runs(bests)

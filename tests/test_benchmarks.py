@@ -172,6 +172,12 @@ class TestMakeProblem:
         with pytest.raises(ConfigurationError, match=f"dimension={dimension}"):
             make_problem(name, dimension)
 
+    @pytest.mark.parametrize("name", ["booth", "sphere"])
+    @pytest.mark.parametrize("dimension", [2.7, 2.0, "3", None, True])
+    def test_dimension_that_is_not_an_integer_is_rejected_naming_it(self, name, dimension):
+        with pytest.raises(ConfigurationError, match="dimension"):
+            make_problem(name, dimension)
+
     def test_registry_lists_all_seven(self):
         assert list(REGISTRY) == [
             "booth",

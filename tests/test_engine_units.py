@@ -300,23 +300,34 @@ class TestEvaluationPaths:
         evaluate_swarm(state, swapped, rows, state.pos[rows])
         assert state.fit.tolist() == [2.0, 5.0]
 
-    @pytest.mark.parametrize("batch", [
-        pytest.param(lambda points: 5.0, id="scalar"),
-        pytest.param(lambda points: np.square(points).sum(axis=1)[:1], id="first value"),
-        pytest.param(lambda points: ["1"] * len(points), id="numeric strings"),
-        pytest.param(lambda points: np.square(points).sum(axis=1, keepdims=True), id="column"),
-        pytest.param(lambda points: np.square(points).sum(axis=1)[:-1], id="one short"),
-        pytest.param(lambda points: np.ones(len(points), dtype=bool), id="bools"),
-        pytest.param(lambda points: [None] * len(points), id="nones"),
+    @pytest.mark.parametrize("path, result", [
+        pytest.param("batch", lambda points: 5.0, id="scalar"),
+        pytest.param("batch", lambda points: np.square(points).sum(axis=1)[:1], id="first value"),
+        pytest.param("batch", lambda points: ["1"] * len(points), id="numeric strings"),
+        pytest.param("batch", lambda points: np.square(points).sum(axis=1, keepdims=True),
+                     id="column"),
+        pytest.param("batch", lambda points: np.square(points).sum(axis=1)[:-1], id="one short"),
+        pytest.param("batch", lambda points: np.ones(len(points), dtype=bool), id="bools"),
+        pytest.param("batch", lambda points: [None] * len(points), id="nones"),
+        pytest.param("rows", lambda x: "7", id="row numeric string"),
+        pytest.param("rows", lambda x: True, id="row bool"),
+        pytest.param("rows", lambda x: np.True_, id="row numpy bool"),
+        pytest.param("rows", lambda x: None, id="row none"),
+        pytest.param("rows", lambda x: np.array([3.0]), id="row one-element array"),
+        pytest.param("rows", lambda x: x, id="row point"),
     ])
-    def test_batch_result_that_is_not_one_real_per_row_is_rejected(self, batch):
-        def objective(x):
-            return float(np.square(x).sum())
+    def test_batch_result_that_is_not_one_real_per_row_is_rejected(self, path, result):
+        if path == "batch":
+            def objective(x):
+                return float(np.square(x).sum())
 
-        objective.batch = batch
+            objective.batch = result
+        else:
+            objective = result
         state = self._unevaluated_state([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
         rows = np.arange(3)
-        with pytest.raises(ConfigurationError, match=r"evaluator\.batch .*\(3,\)"):
+        source = r"evaluator\.batch" if path == "batch" else "evaluator"
+        with pytest.raises(ConfigurationError, match=rf"{source} .*\(3,\)"):
             evaluate_swarm(state, box_problem([-5.0, -5.0], [5.0, 5.0], objective), rows,
                            state.pos[rows])
 

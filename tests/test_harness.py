@@ -123,8 +123,10 @@ class TestRunExperiment:
         for entry in forward.entries:
             assert by_name[entry.function] == entry
 
-    def test_worker_pool_matches_serial_execution(self, small_config):
-        assert run_experiment(small_config, workers=2) == run_experiment(small_config)
+    @pytest.mark.parametrize("runs", [3, 5])  # 5 runs at 2 workers: chunks of 2 and 3 seeds
+    def test_worker_pool_matches_serial_execution(self, small_config, runs):
+        config = dataclasses.replace(small_config, runs_per_entry=runs)
+        assert run_experiment(config, workers=2) == run_experiment(config)
 
     @pytest.mark.parametrize("workers", [2.5, "2", 0, -1, True, None])
     def test_rejects_bad_worker_counts_naming_the_field(self, small_config, workers):
@@ -281,7 +283,8 @@ class TestRunExperiment:
         assert "function=booth" in done.stdout
 
     def test_importing_codoa_does_not_import_multiprocessing(self):
-        code = "import sys, codoa; print(any(m.startswith('multiprocessing') for m in sys.modules))"
+        code = ("import sys, codoa; print(any(m.startswith('multiprocessing') or m == "
+                "'codoa.lockstep' for m in sys.modules))")
         done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
                               capture_output=True, text=True, timeout=60, check=True)
         assert done.stdout.strip() == "False"
