@@ -187,7 +187,17 @@ class RunResult:
     best_per_iteration: tuple[float, ...]
     eval_count: int
     seed: int
-    params: AlgorithmParams
+
+
+def result(state: SwarmState) -> RunResult:
+    """The ``RunResult`` of a finished run: its archive, history, evaluations and seed."""
+    return RunResult(
+        best_fitness=state.global_best_fitness,
+        best_position=tuple(state.global_best_position.tolist()),
+        best_per_iteration=tuple(state.history),
+        eval_count=state.eval_count,
+        seed=state.rng.seed,
+    )
 
 
 def reward_best(state: SwarmState, params: AlgorithmParams) -> None:
@@ -242,23 +252,28 @@ def move_toward_best(
 ) -> None:
     """Pull the particles in the boolean mask ``selected`` toward the archived best.
 
-    Each coordinate steps a random fraction of ``ir`` times the remaining
-    gap, so steps overshoot the target when ``ir`` exceeds 1.  Moved
-    particles are clamped to the box and evaluated; those that land on the
+    They move by :func:`step` and are evaluated; those that land on the
     archived point get its fitness again.
     """
     rows = selected.nonzero()[0]
     k = len(rows)
     if not k:
         return
-    best = state.global_best_position
     positions = state.pos.take(rows, axis=0)  # pos[rows], at a fraction of the indexing cost
     u = state.rng.draw(k * problem.dimension).reshape(k, problem.dimension)
-    moved = positions + u * (state.ir.take(rows)[:, None] * (best - positions))
-    np.maximum(moved, problem.lower_bounds, out=moved)  # np.clip without its Python wrapper
-    np.minimum(moved, problem.upper_bounds, out=moved)
+    moved = step(positions, u, state.ir.take(rows), state.global_best_position, problem)
     state.pos[rows] = moved
     evaluate_swarm(state, problem, rows, moved)
+
+
+def step(positions: np.ndarray, u: np.ndarray, ir: np.ndarray, best: np.ndarray,
+         problem: ObjectiveProblem) -> np.ndarray:
+    """Move each of the (k, d) ``positions`` a fraction ``u`` of ``ir`` times its gap to
+    ``best`` (one point, or one per row), overshooting where ``ir`` > 1; clamp to the box."""
+    moved = positions + u * (ir[:, None] * (best - positions))
+    np.maximum(moved, problem.lower_bounds, out=moved)  # np.clip without its Python wrapper
+    np.minimum(moved, problem.upper_bounds, out=moved)
+    return moved
 
 
 def evaluate_swarm(
@@ -281,13 +296,17 @@ def fitness_of(problem: ObjectiveProblem, points: np.ndarray) -> np.ndarray:
     """
     batch = getattr(problem.evaluator, "batch", None)
     if batch is None:
-        source, values = "evaluator", np.asarray([problem.evaluator(x) for x in points])
+        source, given = "evaluator", [problem.evaluator(x) for x in points]
     else:
-        source, values = "evaluator.batch", np.asarray(batch(points))
-    if values.shape != (len(points),) or values.dtype.kind not in "fiu":
+        source, given = "evaluator.batch", batch(points)
+    values = np.asarray(given)
+    # numpy stores bools among numbers as numbers, so those are looked for in what was given
+    if values.shape != (len(points),) or values.dtype.kind not in "fiu" or not (
+        isinstance(given, np.ndarray) or {bool, np.bool_}.isdisjoint(map(type, given))
+    ):
         raise ConfigurationError(
-            f"{source} must give one real number per point, shape ({len(points)},) in all; "
-            f"got shape {values.shape} of dtype {values.dtype}"
+            f"{source} must give one real number per point (a bool is not one), shape "
+            f"({len(points)},) in all; got shape {values.shape} of dtype {values.dtype}"
         )
     values = values.astype(float, copy=False)
     return np.where(np.isfinite(values), values, math.inf)
@@ -375,7 +394,7 @@ def collapsed(state: SwarmState, problem: ObjectiveProblem) -> bool:
 
     True when every fitness is the archived best's, every position is the
     archived point bit for bit, and a zero step from that point, clamped as
-    :func:`move_toward_best` clamps, lands on it bit for bit (so it has no
+    :func:`step` clamps, lands on it bit for bit (so it has no
     ``-0.0`` coordinate and lies in the box): then every later move lands on
     the archived point and gets its fitness again, so it changes no position,
     fitness or archive.  No fitness is below the archive's at an iteration's
@@ -427,11 +446,4 @@ def run(params: AlgorithmParams, problem: ObjectiveProblem, seed: int) -> RunRes
         if collapsed(state, problem):
             fast_forward(state, params.max_iterations - done)
             break
-    return RunResult(
-        best_fitness=state.global_best_fitness,
-        best_position=tuple(state.global_best_position.tolist()),
-        best_per_iteration=tuple(state.history),
-        eval_count=state.eval_count,
-        seed=state.rng.seed,
-        params=params,
-    )
+    return result(state)

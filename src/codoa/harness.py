@@ -126,11 +126,6 @@ class ExperimentReport:
     config: ExperimentConfig
 
 
-def _run_job(job: tuple[str, int, AlgorithmParams, int]) -> RunResult:
-    name, dimension, params, seed = job
-    return run(params, make_problem(name, dimension), seed)
-
-
 def _run_chunk(job: tuple[str, int, AlgorithmParams, tuple[int, ...]]) -> list[RunResult]:
     """The runs of one entry at each of the job's seeds, in lockstep (see codoa.lockstep)."""
     from codoa.lockstep import run_many  # only where a pool runs it
@@ -206,12 +201,13 @@ def _pool_map(jobs: list, processes: int) -> list:
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     """Execute every entry of the experiment and collect statistics.
 
-    ``workers`` is an integer of at least 1.  At 1, each run is one call of
-    ``run``.  Above 1, each entry's seeds are split into ``min(workers, runs)``
-    contiguous chunks, and the chunks run in a process pool of at most one
-    process per chunk, which later calls needing as many processes reuse; a
-    chunk of several seeds runs them in lockstep (see ``codoa.lockstep``),
-    which gives each run's result bit for bit.  Results are collected in
+    ``workers`` is an integer of at least 1.  Each entry's problem is built
+    once.  At 1, each run is one call of ``run`` on it.  Above 1, each
+    entry's seeds are split into ``min(workers, runs)`` contiguous chunks,
+    and the chunks run in a process pool of at most one process per chunk,
+    which later calls needing as many processes reuse; a chunk of several
+    seeds runs them in lockstep (see ``codoa.lockstep``), which gives each
+    run's result bit for bit.  Results are collected in
     (entry index, run index) order, so the report is identical to a serial
     execution.
     """
@@ -221,23 +217,25 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     n = config.runs_per_entry
     seeds = range(config.base_seed, config.base_seed + n)
     chunks = min(workers, n)
-    jobs = [
-        (name, dim, config.params, tuple(part))
-        for name, dim in config.entries
-        for part in (seeds[k * n // chunks : (k + 1) * n // chunks] for k in range(chunks))
-    ]
-    workers = min(workers, len(jobs))  # the pool starts every process it may use at once
+    workers = min(workers, len(config.entries) * chunks)  # the pool starts them all at once
     if workers > 1:
-        results = [result for chunk in _pool_map(jobs, workers) for result in chunk]
-    else:
-        results = [_run_job((name, dim, params, seed)) for name, dim, params, part in jobs
-                   for seed in part]
+        jobs = [
+            (name, dim, config.params, tuple(seeds[k * n // chunks : (k + 1) * n // chunks]))
+            for name, dim in config.entries
+            for k in range(chunks)
+        ]
+        bests = [result.best_fitness for chunk in _pool_map(jobs, workers) for result in chunk]
 
     entry_reports = []
     for idx, (name, dim) in enumerate(config.entries):
-        bests = [r.best_fitness for r in results[idx * n : (idx + 1) * n]]
-        stats = RunStatistics.from_runs(bests)
-        known = make_problem(name, dim).known_minimum_value
+        problem = make_problem(name, dim)
+        if workers > 1:
+            stats = RunStatistics.from_runs(bests[idx * n : (idx + 1) * n])
+        else:
+            stats = RunStatistics.from_runs(
+                run(config.params, problem, seed).best_fitness for seed in seeds
+            )
+        known = problem.known_minimum_value
         entry_reports.append(EntryReport(name, dim, stats, known, abs(stats.best - known)))
     return ExperimentReport(entries=tuple(entry_reports), config=config)
 

@@ -36,17 +36,7 @@ def run_many(params: AlgorithmParams, problem: ObjectiveProblem, seeds) -> list[
                 engine.fast_forward(state, params.max_iterations - done)
             else:
                 running.append(state)
-    return [
-        RunResult(
-            best_fitness=state.global_best_fitness,
-            best_position=tuple(state.global_best_position.tolist()),
-            best_per_iteration=tuple(state.history),
-            eval_count=state.eval_count,
-            seed=state.rng.seed,
-            params=params,
-        )
-        for state in states
-    ]
+    return [engine.result(state) for state in states]
 
 
 class _Stack:
@@ -129,12 +119,9 @@ class _Stack:
             return
         counts = self.counts(mask)
         d = self.problem.dimension
-        positions = self.pos.take(rows, axis=0)
         u = self.draw(counts * d).reshape(len(rows), d)
         best = self.best_pos.take(self.swarm_of.take(rows), axis=0)
-        moved = positions + u * (self.ir.take(rows)[:, None] * (best - positions))
-        np.maximum(moved, self.problem.lower_bounds, out=moved)
-        np.minimum(moved, self.problem.upper_bounds, out=moved)
+        moved = engine.step(self.pos.take(rows, axis=0), u, self.ir.take(rows), best, self.problem)
         self.pos[rows] = moved
         self.fit[rows] = engine.fitness_of(self.problem, moved)
         self.evals += counts

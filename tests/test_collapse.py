@@ -33,14 +33,7 @@ def stepwise(params, problem, seed) -> RunResult:
     state = initialize(params, problem, seed)
     for _ in range(params.max_iterations):
         iterate(state, params, problem)
-    return RunResult(
-        best_fitness=state.global_best_fitness,
-        best_position=tuple(state.global_best_position.tolist()),
-        best_per_iteration=tuple(state.history),
-        eval_count=state.eval_count,
-        seed=state.rng.seed,
-        params=params,
-    )
+    return engine.result(state)
 
 
 def counted_run(monkeypatch, params, problem, seed):

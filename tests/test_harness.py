@@ -128,6 +128,27 @@ class TestRunExperiment:
         config = dataclasses.replace(small_config, runs_per_entry=runs)
         assert run_experiment(config, workers=2) == run_experiment(config)
 
+    def test_serial_runs_are_harness_run_calls_on_one_problem_per_entry(self, small_config,
+                                                                         monkeypatch):
+        # perfbench patches these two names to see, and to time, every serial run
+        problems, runs = [], []
+
+        def counted_make_problem(name, dim):
+            problems.append((name, dim, make_problem(name, dim)))
+            return problems[-1][2]
+
+        def counted_run(params, problem, seed):
+            runs.append((problem, seed))
+            return run(params, problem, seed)
+
+        monkeypatch.setattr(harness, "make_problem", counted_make_problem)
+        monkeypatch.setattr(harness, "run", counted_run)
+        report = run_experiment(small_config, workers=1)
+        monkeypatch.undo()
+        assert [(name, dim) for name, dim, _ in problems] == list(small_config.entries)
+        assert runs == [(problem, seed) for _, _, problem in problems for seed in (7, 8, 9)]
+        assert report == run_experiment(small_config)
+
     @pytest.mark.parametrize("workers", [2.5, "2", 0, -1, True, None])
     def test_rejects_bad_worker_counts_naming_the_field(self, small_config, workers):
         with pytest.raises(ConfigurationError, match="workers"):
