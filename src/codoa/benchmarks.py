@@ -2,9 +2,16 @@
 
 Seven classic single-objective test functions: five fixed two-dimensional
 surfaces plus the dimension-polymorphic sphere and rosenbrock.  The raw
-functions are pure math and evaluate anywhere; box-domain enforcement is
-the engine's job.  Each registered evaluator carries a ``batch`` form for
-(k, d) points, equal bit for bit to evaluating each row.
+functions are pure math; box-domain enforcement is the engine's job.  Each
+registered evaluator carries a ``batch`` form for (k, d) points, equal bit
+for bit to evaluating each row.
+
+Each 2-D function is one expression over two floats or two arrays: its row
+form is Python-float arithmetic, its batch form numpy's, and both reach the
+C library's ``pow`` and ``sin`` (see :func:`_pow`), so the two agree on every
+point of every box.  Far outside a box, a power can overflow: there the row
+form raises ``OverflowError``, while the batch form gives ``inf`` with a
+RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -18,39 +25,54 @@ import numpy as np
 from codoa.engine import ConfigurationError, ObjectiveProblem, checked
 
 
-def booth(x: float, y: float) -> float:
+# as 0-d arrays, which numpy takes faster than a Python number it must convert
+_ARRAY_EXPONENTS = {e: np.array(float(e)) for e in (2, 3, 4, 6)}
+
+
+def _pow(x, e: int):
+    """``x ** e`` through the C library's ``pow``: Python's ``**`` on a float,
+    ``np.float_power`` (which calls it on each element) on an array."""
+    return np.float_power(x, _ARRAY_EXPONENTS[e]) if isinstance(x, np.ndarray) else x**e
+
+
+def _sin(x):
+    """``sin`` through the C library: ``math.sin`` on a float, ``np.sin`` on an array."""
+    return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
+
+
+def booth(x, y):
     """Quadratic plate-shaped valley; minimum 0 at (1, 3)."""
-    return (x + 2.0 * y - 7.0) ** 2 + (2.0 * x + y - 5.0) ** 2
+    return _pow(x + 2.0 * y - 7.0, 2) + _pow(2.0 * x + y - 5.0, 2)
 
 
-def beale(x: float, y: float) -> float:
+def beale(x, y):
     """Sharp multimodal surface; minimum 0 at (3, 0.5)."""
     return (
-        (1.5 - x + x * y) ** 2
-        + (2.25 - x + x * y * y) ** 2
-        + (2.625 - x + x * y**3) ** 2
+        _pow(1.5 - x + x * y, 2)
+        + _pow(2.25 - x + x * y * y, 2)
+        + _pow(2.625 - x + x * _pow(y, 3), 2)
     )
 
 
-def goldstein_price(x: float, y: float) -> float:
+def goldstein_price(x, y):
     """Product of two quartic factors; minimum 3 at (0, -1)."""
-    a = 1.0 + (x + y + 1.0) ** 2 * (
+    a = 1.0 + _pow(x + y + 1.0, 2) * (
         19.0 - 14.0 * x + 3.0 * x * x - 14.0 * y + 6.0 * x * y + 3.0 * y * y
     )
-    b = 30.0 + (2.0 * x - 3.0 * y) ** 2 * (
+    b = 30.0 + _pow(2.0 * x - 3.0 * y, 2) * (
         18.0 - 32.0 * x + 12.0 * x * x + 48.0 * y - 36.0 * x * y + 27.0 * y * y
     )
     return a * b
 
 
-def mccormick(x: float, y: float) -> float:
+def mccormick(x, y):
     """Sinusoidal valley; minimum -1.9133 at (-0.54719, -1.54719)."""
-    return math.sin(x + y) + (x - y) ** 2 - 1.5 * x + 2.5 * y + 1.0
+    return _sin(x + y) + _pow(x - y, 2) - 1.5 * x + 2.5 * y + 1.0
 
 
-def three_hump_camel(x: float, y: float) -> float:
+def three_hump_camel(x, y):
     """Three local minima; global minimum 0 at the origin."""
-    return 2.0 * x * x - 1.05 * x**4 + x**6 / 6.0 + x * y + y * y
+    return 2.0 * x * x - 1.05 * _pow(x, 4) + _pow(x, 6) / 6.0 + x * y + y * y
 
 
 def _sphere_rows(x: np.ndarray) -> np.ndarray:
@@ -80,13 +102,11 @@ sphere.batch = _sphere_rows
 rosenbrock.batch = _rosenbrock_rows
 
 
-def _pair(f: Callable[[float, float], float]) -> Callable[[np.ndarray], float]:
+def _pair(f: Callable) -> Callable[[np.ndarray], float]:
     def evaluator(pos: np.ndarray) -> float:
         return float(f(float(pos[0]), float(pos[1])))
 
-    # Python floats, not numpy: their ``**`` calls the C library's ``pow``,
-    # which numpy's power does not match in the last bit.
-    evaluator.batch = lambda points: np.array(list(map(f, *points.T.tolist())))
+    evaluator.batch = lambda points: f(points[:, 0], points[:, 1])
     return evaluator
 
 

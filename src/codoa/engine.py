@@ -441,9 +441,16 @@ def run(params: AlgorithmParams, problem: ObjectiveProblem, seed: int) -> RunRes
     iterating would, bit for bit, without advancing ``ir`` or the random stream.
     """
     state = initialize(params, problem, seed)
-    for done in range(1, params.max_iterations + 1):
+    finish(state, params, problem)
+    return result(state)
+
+
+def finish(state: SwarmState, params: AlgorithmParams, problem: ObjectiveProblem,
+           done: int = 0) -> None:
+    """Iterate ``state``, ``done`` iterations into its run, on to the budget, and
+    finish by :func:`fast_forward` once it has :func:`collapsed`."""
+    for done in range(done + 1, params.max_iterations + 1):
         iterate(state, params, problem)
         if collapsed(state, problem):
             fast_forward(state, params.max_iterations - done)
             break
-    return result(state)

@@ -7,8 +7,8 @@ the stacked swarms shares.  Each swarm is built by :func:`engine.initialize`
 and keeps its own random stream, drawn in the order ``run`` draws it.  One
 objective call covers the moved particles of every seed, and a seed whose
 swarm has :func:`engine.collapsed` leaves the stack through
-:func:`engine.fast_forward`.  A single seed runs through :func:`engine.run`,
-which is faster for one swarm.
+:func:`engine.fast_forward`.  The last running seed finishes on ``run``'s own
+loop, :func:`engine.finish`, which is faster for one swarm.
 """
 
 from __future__ import annotations
@@ -21,21 +21,12 @@ from codoa.engine import AlgorithmParams, ObjectiveProblem, RunResult
 
 def run_many(params: AlgorithmParams, problem: ObjectiveProblem, seeds) -> list[RunResult]:
     """``[run(params, problem, seed) for seed in seeds]``, run in lockstep."""
-    seeds = list(seeds)
-    if len(seeds) == 1:
-        return [engine.run(params, problem, seeds[0])]
     states = [engine.initialize(params, problem, seed) for seed in seeds]
     running, done = states, 0
-    while running and done < params.max_iterations:
-        stack = _Stack(params, problem, running)
-        done = stack.advance(done)
-        stack.unstack()
-        running = []
-        for state in stack.states:
-            if engine.collapsed(state, problem):
-                engine.fast_forward(state, params.max_iterations - done)
-            else:
-                running.append(state)
+    while len(running) > 1 and done < params.max_iterations:
+        running, done = _Stack(params, problem, running).advance(done)
+    for state in running:  # one seed left, or several at the end of the budget
+        engine.finish(state, params, problem, done)
     return [engine.result(state) for state in states]
 
 
@@ -71,15 +62,27 @@ class _Stack:
             s.best_holder_index = self.holder.item(r)
             s.eval_count = self.evals.item(r)
 
-    def advance(self, done: int) -> int:
-        """Iterate on from ``done`` iterations until the budget, or until some swarm's
-        fitnesses all equal its best (it may have collapsed); return the new count."""
-        while done < self.params.max_iterations:
+    def advance(self, done: int) -> tuple[list, int]:
+        """Iterate on from ``done`` iterations until the budget, or until some swarm has
+        :func:`engine.collapsed` and been fast-forwarded; write every swarm back, and
+        return those still running and the new count."""
+        budget = self.params.max_iterations
+        while done < budget:
             self.iterate()
             done += 1
+            # a swarm whose fitnesses all equal its best may have collapsed
             if (self.fit.reshape(-1, self.n).max(axis=1) == self.best_fit).any():
-                break
-        return done
+                self.unstack()
+                running = []
+                for state in self.states:
+                    if engine.collapsed(state, self.problem):
+                        engine.fast_forward(state, budget - done)
+                    else:
+                        running.append(state)
+                if len(running) < len(self.states):
+                    return running, done
+        self.unstack()
+        return self.states, done
 
     def counts(self, mask: np.ndarray) -> np.ndarray:
         """How many rows of each swarm ``mask`` holds."""

@@ -1,10 +1,13 @@
 """Oracle tests for the seven benchmark functions and problem construction."""
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
 
+from codoa import benchmarks
 from codoa.benchmarks import (
     REGISTRY,
     beale,
@@ -194,6 +197,19 @@ def _bits(values) -> list[int]:
     return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
+TWO_D = ["booth", "beale", "goldstein_price", "mccormick", "three_hump_camel"]
+
+# ways to write ``x ** e`` over arrays that miss the C library's ``pow`` in the last bit
+WRONG_POWERS = {
+    "np.square": lambda x, e: np.square(x) if e == 2 else np.float_power(x, e),
+    "np.power": lambda x, e: np.power(x, np.full_like(x, e)),
+    "x*x": lambda x, e: functools.reduce(operator.mul, [x] * e),
+}
+# three_hump_camel squares by products, so np.square would change none of its powers
+WRONG_CASES = [(name, wrong) for name in TWO_D for wrong in WRONG_POWERS
+               if (name, wrong) != ("three_hump_camel", "np.square")]
+
+
 class TestBatchForms:
     """Each registered evaluator's ``batch`` form equals its per-row calls bit for bit."""
 
@@ -229,3 +245,26 @@ class TestBatchForms:
     def test_one_row_batch(self, name):
         problem = make_problem(name, 3 if REGISTRY[name].fixed_dimension is None else 2)
         self._check(problem, [problem.known_minimizer])
+
+    @pytest.mark.parametrize("name, wrong", WRONG_CASES)
+    def test_batch_is_bit_equal_on_points_where_a_wrong_power_is_not(self, name, wrong,
+                                                                     monkeypatch):
+        problem = make_problem(name)
+        rng = np.random.default_rng(TWO_D.index(name))
+        span = problem.upper_bounds - problem.lower_bounds
+        points = problem.lower_bounds + rng.random((20_000, 2)) * span
+        rows = _bits([problem.evaluator(x) for x in points])
+        assert _bits(problem.evaluator.batch(points)) == rows
+        monkeypatch.setattr(benchmarks, "_pow", WRONG_POWERS[wrong])
+        missed = np.not_equal(_bits(problem.evaluator.batch(points)), rows)
+        assert missed.any(), f"no point of the sample tells {wrong} from pow"
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 10.0, 40.0])
+def test_float_power_and_sin_are_the_c_library_calls_that_python_floats_make(scale):
+    """The platform assumption of the 2-D batch forms: numpy's ``float_power`` and
+    ``sin`` give Python's float ``**`` and ``math.sin``, bit for bit."""
+    a = np.random.default_rng(int(math.log10(scale)) + 3).uniform(-scale, scale, 50_000)
+    for exponent in (2, 3, 4, 6):
+        assert _bits(np.float_power(a, exponent)) == _bits([v**exponent for v in a.tolist()])
+    assert _bits(np.sin(a)) == _bits([math.sin(v) for v in a.tolist()])

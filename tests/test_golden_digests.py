@@ -7,10 +7,12 @@ SHA-256.  A refactor of the engine or the benchmarks must leave every digest
 unchanged; a change that moves the numbers on purpose re-pins them and says
 so.
 
-The digests are platform-pinned.  booth and the other 2-D functions use
-Python's float ``**``, which calls the C library's ``pow``, and numpy's
-reductions depend on its build, so another libm or numpy build may differ in
-the last bit.  They were pinned on x86-64 Linux, CPython 3.11, numpy 2.4.
+The digests are platform-pinned.  booth and the other 2-D functions reach
+the C library's ``pow`` through Python's float ``**`` (one point) and
+``np.float_power`` (a batch), and mccormick its ``sin`` through ``math.sin``
+and ``np.sin``; numpy's reductions depend on its build.  So another libm or
+numpy build may differ in the last bit.  They were pinned on x86-64 Linux,
+CPython 3.11, numpy 2.4.
 """
 
 import hashlib

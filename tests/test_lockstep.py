@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codoa import engine
+from codoa import engine, lockstep
 from codoa.benchmarks import REGISTRY, make_problem
 from codoa.engine import AlgorithmParams, ConfigurationError, run
 from codoa.lockstep import run_many
@@ -89,3 +89,49 @@ def test_a_bad_evaluator_result_is_rejected_naming_it():
     problem = box_problem([-1.0, -1.0], [1.0, 1.0], lambda x: "7")
     with pytest.raises(ConfigurationError, match=r"evaluator must give one real number"):
         run_many(AlgorithmParams(num_particles=4, max_iterations=5), problem, [1, 2])
+
+
+def flat(x):
+    """A plateau: every point of the box has the same fitness."""
+    return 1.0
+
+
+flat.batch = lambda points: np.ones(len(points))
+
+
+def test_swarms_that_go_flat_without_collapsing_stay_on_one_stack(monkeypatch):
+    stacks, forwarded = [], []
+
+    def init(self, *args):
+        stacks.append(self)
+        original_init(self, *args)
+
+    original_init = lockstep._Stack.__init__
+    monkeypatch.setattr(lockstep._Stack, "__init__", init)
+    monkeypatch.setattr(engine, "fast_forward", lambda *args: forwarded.append(args))
+    params = AlgorithmParams(num_particles=6, max_iterations=30)
+    problem = box_problem([-1.0, -1.0], [1.0, 1.0], flat)
+    run_many(params, problem, [1, 2, 3])
+    # every fitness equals each swarm's best from the first iteration on, yet none collapses
+    assert (len(stacks), forwarded) == (1, [])
+    monkeypatch.undo()
+    same_runs(params, problem, [1, 2, 3])
+
+
+def test_the_last_running_seed_finishes_on_runs_own_loop(monkeypatch):
+    finished = []
+
+    def finish(state, params, problem, done):
+        finished.append((state.rng.seed, done))
+        original(state, params, problem, done)
+
+    original = engine.finish
+    monkeypatch.setattr(engine, "finish", finish)
+    params = AlgorithmParams(max_iterations=300)
+    run_many(params, make_problem("booth"), [1, 2])
+    run_many(params, make_problem("booth"), [7])
+    (seed, done), single = finished
+    assert seed in (1, 2) and 0 < done < 300  # the other seed collapsed at iteration `done`
+    assert single == (7, 0)
+    monkeypatch.undo()
+    same_runs(params, make_problem("booth"), [1, 2])
