@@ -102,12 +102,22 @@ sphere.batch = _sphere_rows
 rosenbrock.batch = _rosenbrock_rows
 
 
-def _pair(f: Callable) -> Callable[[np.ndarray], float]:
-    def evaluator(pos: np.ndarray) -> float:
-        return float(f(float(pos[0]), float(pos[1])))
+class _Pair:
+    """A 2-D function ``f(x, y)`` as an evaluator: called on one point, or on
+    (k, 2) points through ``batch``.
 
-    evaluator.batch = lambda points: f(points[:, 0], points[:, 1])
-    return evaluator
+    A class, not a closure, so that it pickles (``f`` by reference): a pooled
+    run sends each worker the problem built for its entry, evaluator and all.
+    """
+
+    def __init__(self, f: Callable) -> None:
+        self.f = f
+
+    def __call__(self, pos: np.ndarray) -> float:
+        return float(self.f(float(pos[0]), float(pos[1])))
+
+    def batch(self, points: np.ndarray) -> np.ndarray:
+        return self.f(points[:, 0], points[:, 1])
 
 
 @dataclass(frozen=True)
@@ -130,10 +140,10 @@ class BenchmarkSpec:
 REGISTRY: dict[str, BenchmarkSpec] = {
     spec.name: spec
     for spec in (
-        BenchmarkSpec("booth", 2, ((-10.0, 10.0),), 0.0, (1.0, 3.0), _pair(booth)),
-        BenchmarkSpec("beale", 2, ((-4.5, 4.5),), 0.0, (3.0, 0.5), _pair(beale)),
+        BenchmarkSpec("booth", 2, ((-10.0, 10.0),), 0.0, (1.0, 3.0), _Pair(booth)),
+        BenchmarkSpec("beale", 2, ((-4.5, 4.5),), 0.0, (3.0, 0.5), _Pair(beale)),
         BenchmarkSpec(
-            "goldstein_price", 2, ((-2.0, 2.0),), 3.0, (0.0, -1.0), _pair(goldstein_price)
+            "goldstein_price", 2, ((-2.0, 2.0),), 3.0, (0.0, -1.0), _Pair(goldstein_price)
         ),
         BenchmarkSpec(
             "mccormick",
@@ -141,10 +151,10 @@ REGISTRY: dict[str, BenchmarkSpec] = {
             ((-1.5, 4.0), (-3.0, 4.0)),
             -1.9133,
             (-0.54719, -1.54719),
-            _pair(mccormick),
+            _Pair(mccormick),
         ),
         BenchmarkSpec(
-            "three_hump_camel", 2, ((-5.0, 5.0),), 0.0, (0.0, 0.0), _pair(three_hump_camel)
+            "three_hump_camel", 2, ((-5.0, 5.0),), 0.0, (0.0, 0.0), _Pair(three_hump_camel)
         ),
         BenchmarkSpec("sphere", None, ((-100.0, 100.0),), 0.0, (0.0,), sphere),
         BenchmarkSpec("rosenbrock", None, ((-30.0, 30.0),), 0.0, (1.0,), rosenbrock),

@@ -19,8 +19,8 @@ import sys
 import threading
 from dataclasses import asdict, dataclass
 
-from codoa.benchmarks import REGISTRY, make_problem
-from codoa.engine import AlgorithmParams, ConfigurationError, RunResult, check_fields, checked, run
+from codoa.benchmarks import make_problem
+from codoa.engine import AlgorithmParams, ConfigurationError, check_fields, checked, run
 
 REPORT_COLUMNS = (
     "function",
@@ -39,12 +39,6 @@ REPORT_COLUMNS = (
 TABLE2_DIMENSIONS = (2, 5, 10, 20, 30)
 
 REPORT_FORMATS = ("csv", "json")
-
-
-def check_format(fmt) -> None:
-    """Raise ConfigurationError unless ``fmt`` is one of REPORT_FORMATS."""
-    if fmt not in REPORT_FORMATS:
-        raise ConfigurationError(f"output_format must be one of {REPORT_FORMATS}, got {fmt!r}")
 
 
 @dataclass(frozen=True)
@@ -126,15 +120,7 @@ class ExperimentReport:
     config: ExperimentConfig
 
 
-def _run_chunk(job: tuple[str, int, AlgorithmParams, tuple[int, ...]]) -> list[RunResult]:
-    """The runs of one entry at each of the job's seeds, in lockstep (see codoa.lockstep)."""
-    from codoa.lockstep import run_many  # only where a pool runs it
-
-    name, dimension, params, seeds = job
-    return run_many(params, make_problem(name, dimension), seeds)
-
-
-_pool = None  # (processes, registry, executor) that pooled calls share, started by the first
+_pool = None  # (processes, executor) that pooled calls share, started by the first
 _pool_lock = threading.RLock()  # held by each pooled call, so one runs at a time
 _parent_pools = []  # in a forked child: the parent's pool, never used nor collected
 
@@ -144,7 +130,7 @@ def _close_pool() -> None:
     global _pool
     with _pool_lock:
         if _pool is not None:
-            _pool[2].shutdown(wait=True)  # its threads end here, before any later fork
+            _pool[1].shutdown(wait=True)  # its threads end here, before any later fork
             _pool = None
 
 
@@ -166,32 +152,35 @@ if hasattr(os, "register_at_fork"):  # absent where there is no fork
 
 
 def _pool_map(jobs: list, processes: int) -> list:
-    """``_run_chunk`` over ``jobs``, in order, in the shared pool of ``processes``.
+    """``codoa.lockstep.run_many(params, problem, seeds)`` for each job, in order,
+    in the shared pool of ``processes``.
 
-    The pool is started on first use and kept for later calls.  A call that
-    needs another process count, or finds ``REGISTRY`` changed since the pool
-    started (a forked worker would still see the old one), replaces it, and
-    so does one that finds it broken as the jobs are submitted (a worker died
-    since the last call).  A call that fails while its jobs run drops the pool
-    and raises.  Calls from other threads wait for the one running to finish.
+    Each job is pickled, so the problem's evaluator must pickle.  The pool is
+    started on first use and kept for later calls.  A call that needs another
+    process count replaces it, and so does one that finds it broken as the jobs
+    are submitted (a worker died since the last call).  A call that fails while
+    its jobs run, or whose jobs do not pickle, drops the pool and raises.  Calls
+    from other threads wait for the one running to finish.
     """
     global _pool
     from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing: only here
     from concurrent.futures.process import BrokenProcessPool
 
-    registry = tuple(REGISTRY.items())  # holds the specs, so none is collected
+    from codoa.lockstep import run_many  # only where a pool runs it
+
+    columns = list(zip(*jobs))
     with _pool_lock:
-        if _pool is not None and _pool[:2] != (processes, registry):
+        if _pool is not None and _pool[0] != processes:
             _close_pool()
         if _pool is None:
-            _pool = (processes, registry, ProcessPoolExecutor(max_workers=processes))
+            _pool = (processes, ProcessPoolExecutor(max_workers=processes))
         try:
             try:
-                results = _pool[2].map(_run_chunk, jobs)  # submits every job before it returns
+                results = _pool[1].map(run_many, *columns)  # submits every job before it returns
             except BrokenProcessPool:
                 _close_pool()
-                _pool = (processes, registry, ProcessPoolExecutor(max_workers=processes))
-                results = _pool[2].map(_run_chunk, jobs)
+                _pool = (processes, ProcessPoolExecutor(max_workers=processes))
+                results = _pool[1].map(run_many, *columns)
             return list(results)
         except BaseException:
             _close_pool()
@@ -202,14 +191,14 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     """Execute every entry of the experiment and collect statistics.
 
     ``workers`` is an integer of at least 1.  Each entry's problem is built
-    once.  At 1, each run is one call of ``run`` on it.  Above 1, each
-    entry's seeds are split into ``min(workers, runs)`` contiguous chunks,
-    and the chunks run in a process pool of at most one process per chunk,
-    which later calls needing as many processes reuse; a chunk of several
-    seeds runs them in lockstep (see ``codoa.lockstep``), which gives each
-    run's result bit for bit.  Results are collected in
-    (entry index, run index) order, so the report is identical to a serial
-    execution.
+    once, and every run of the entry, serial or pooled, uses it.  At 1, each
+    run is one call of ``run`` on it.  Above 1, each entry's seeds are split
+    into ``min(workers, runs)`` contiguous chunks, and each chunk is sent with
+    the problem to a process pool of at most one process per chunk, which
+    later calls needing as many processes reuse; a chunk of several seeds runs
+    them in lockstep (see ``codoa.lockstep``), which gives each run's result
+    bit for bit.  Results are collected in (entry index, run index) order, so
+    the report is identical to a serial execution.
     """
     workers = checked("workers", workers, "int")
     if workers < 1:
@@ -218,23 +207,18 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     seeds = range(config.base_seed, config.base_seed + n)
     chunks = min(workers, n)
     workers = min(workers, len(config.entries) * chunks)  # the pool starts them all at once
+    problems = [make_problem(name, dim) for name, dim in config.entries]
     if workers > 1:
-        jobs = [
-            (name, dim, config.params, tuple(seeds[k * n // chunks : (k + 1) * n // chunks]))
-            for name, dim in config.entries
-            for k in range(chunks)
-        ]
+        parts = [tuple(seeds[k * n // chunks : (k + 1) * n // chunks]) for k in range(chunks)]
+        jobs = [(config.params, problem, part) for problem in problems for part in parts]
         bests = [result.best_fitness for chunk in _pool_map(jobs, workers) for result in chunk]
+    else:
+        bests = [run(config.params, problem, seed).best_fitness
+                 for problem in problems for seed in seeds]
 
     entry_reports = []
-    for idx, (name, dim) in enumerate(config.entries):
-        problem = make_problem(name, dim)
-        if workers > 1:
-            stats = RunStatistics.from_runs(bests[idx * n : (idx + 1) * n])
-        else:
-            stats = RunStatistics.from_runs(
-                run(config.params, problem, seed).best_fitness for seed in seeds
-            )
+    for idx, ((name, dim), problem) in enumerate(zip(config.entries, problems)):
+        stats = RunStatistics.from_runs(bests[idx * n : (idx + 1) * n])
         known = problem.known_minimum_value
         entry_reports.append(EntryReport(name, dim, stats, known, abs(stats.best - known)))
     return ExperimentReport(entries=tuple(entry_reports), config=config)
@@ -298,7 +282,10 @@ def report_to_dict(report: ExperimentReport) -> dict:
 
 def write_report(report: ExperimentReport, output_format: str, destination=None) -> None:
     """Write the report as CSV or JSON to a path, or to stdout if none given."""
-    check_format(output_format)
+    if output_format not in REPORT_FORMATS:
+        raise ConfigurationError(
+            f"output_format must be one of {REPORT_FORMATS}, got {output_format!r}"
+        )
     if destination is None:
         return _emit(report, output_format, sys.stdout)
     if os.path.islink(destination) or os.path.exists(destination) != os.path.isfile(destination):

@@ -3,6 +3,7 @@
 import functools
 import math
 import operator
+import pickle
 
 import numpy as np
 import pytest
@@ -245,6 +246,21 @@ class TestBatchForms:
     def test_one_row_batch(self, name):
         problem = make_problem(name, 3 if REGISTRY[name].fixed_dimension is None else 2)
         self._check(problem, [problem.known_minimizer])
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_problem_survives_a_pickle_round_trip(self, name):
+        # a pooled run sends each worker the problem built for its entry
+        dim = 3 if REGISTRY[name].fixed_dimension is None else 2
+        problem = make_problem(name, dim)
+        copy = pickle.loads(pickle.dumps(problem))
+        rng = np.random.default_rng(sorted(REGISTRY).index(name))
+        span = problem.upper_bounds - problem.lower_bounds
+        points = problem.lower_bounds + rng.random((500, dim)) * span
+        self._check(copy, points)
+        assert _bits(copy.evaluator.batch(points)) == _bits(problem.evaluator.batch(points))
+        for field in ("lower_bounds", "upper_bounds", "known_minimizer"):
+            assert _bits(getattr(copy, field)) == _bits(getattr(problem, field))
+        assert copy.known_minimum_value == problem.known_minimum_value
 
     @pytest.mark.parametrize("name, wrong", WRONG_CASES)
     def test_batch_is_bit_equal_on_points_where_a_wrong_power_is_not(self, name, wrong,

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import signal
 import stat
 import subprocess
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codoa import harness
+from codoa import benchmarks, harness
 from codoa.benchmarks import REGISTRY, make_problem
 from codoa.engine import AlgorithmParams, ConfigurationError, run
 from codoa.harness import (
@@ -33,6 +34,34 @@ from support import naive_mean, naive_median, naive_sample_stdev
 
 SMALL_PARAMS = AlgorithmParams(num_particles=4, max_iterations=8)
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+
+# booth's row form as a module-level lambda: it runs, but pickle cannot find it by name
+LAMBDA_BOOTH = lambda pos: benchmarks.booth(float(pos[0]), float(pos[1]))  # noqa: E731
+
+# argv[1] is the start method; prints "equal" twice when pooled == serial, before and
+# after REGISTRY["booth"] is replaced by a spec with sphere's function
+POOLED_EQUALS_SERIAL_SCRIPT = """
+import dataclasses
+import multiprocessing
+import sys
+
+from codoa import AlgorithmParams, ExperimentConfig, REGISTRY, run_experiment
+
+
+def pooled_equals_serial(config):
+    serial = run_experiment(config)
+    print("equal" if run_experiment(config, workers=2) == serial else "differ")
+    return serial
+
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    config = ExperimentConfig(entries=(("booth", 2), ("sphere", 3)), runs_per_entry=3,
+                              params=AlgorithmParams(num_particles=4, max_iterations=8))
+    before = pooled_equals_serial(config)
+    REGISTRY["booth"] = dataclasses.replace(REGISTRY["booth"], func=REGISTRY["sphere"].func)
+    assert pooled_equals_serial(config) != before
+"""
 
 
 @pytest.fixture()
@@ -163,8 +192,8 @@ class TestRunExperiment:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
             def shutdown(self, wait=True):
                 pass
@@ -215,8 +244,8 @@ class TestRunExperiment:
             def __init__(self, max_workers):
                 pass
 
-            def map(self, fn, jobs):
-                yield fn(jobs[0])
+            def map(self, fn, *iterables):
+                yield fn(*next(zip(*iterables)))
                 raise BrokenProcessPool("a worker died")
 
             def shutdown(self, wait=True):
@@ -282,9 +311,8 @@ class TestRunExperiment:
         assert os.waitstatus_to_exitcode(done[1]) == 0
         assert run_experiment(small_config, workers=2) == serial  # the parent's pool still works
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="other start methods import a fresh REGISTRY in each worker")
-    def test_registry_change_replaces_the_pool(self, small_config, pools_made, monkeypatch):
+    def test_a_replaced_registry_entry_runs_in_the_same_pool(self, small_config, pools_made,
+                                                              monkeypatch):
         before = run_experiment(small_config)
         assert run_experiment(small_config, workers=2) == before
         booth = dataclasses.replace(REGISTRY["booth"], func=REGISTRY["sphere"].func)
@@ -292,7 +320,45 @@ class TestRunExperiment:
         serial = run_experiment(small_config)
         assert serial != before
         assert run_experiment(small_config, workers=2) == serial
-        assert len(pools_made) == 2
+        assert len(pools_made) == 1
+
+    def test_pooled_runs_use_the_problem_the_harness_built(self, small_config, pools_made,
+                                                           monkeypatch):
+        before = run_experiment(small_config)
+        assert run_experiment(small_config, workers=2) == before  # the workers are running
+
+        def booth_box_with_sphere(name, dim):
+            return dataclasses.replace(make_problem(name, dim), evaluator=benchmarks.sphere)
+
+        monkeypatch.setattr(harness, "make_problem", booth_box_with_sphere)
+        serial = run_experiment(small_config)
+        assert serial != before
+        assert run_experiment(small_config, workers=2) == serial
+        assert len(pools_made) == 1
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pooled_equals_serial_under_start_method(self, method, tmp_path):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method here")
+        # a file, not -c: spawn and forkserver workers import the parent's __main__
+        script = tmp_path / "pooled_equals_serial.py"
+        script.write_text(POOLED_EQUALS_SERIAL_SCRIPT)
+        done = subprocess.run([sys.executable, str(script), method],
+                              env=dict(os.environ, PYTHONPATH=SRC),
+                              capture_output=True, text=True, timeout=300)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.split() == ["equal", "equal"]
+
+    def test_evaluator_that_does_not_pickle_fails_the_pooled_call_and_drops_the_pool(
+            self, small_config, no_pool_yet, monkeypatch):
+        spec = dataclasses.replace(REGISTRY["booth"], name="lambda_booth", func=LAMBDA_BOOTH)
+        monkeypatch.setitem(REGISTRY, "lambda_booth", spec)
+        config = dataclasses.replace(small_config, entries=(("lambda_booth", 2),))
+        run_experiment(config)  # the spec itself is sound: it runs serially
+        with pytest.raises(pickle.PicklingError):
+            run_experiment(config, workers=2)
+        assert harness._pool is None
+        assert run_experiment(small_config, workers=2) == run_experiment(small_config)
 
     def test_pooled_cli_run_exits_cleanly(self):
         args = ["run", "--function", "booth", "--iterations", "20", "--runs", "4",
