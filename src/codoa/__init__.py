@@ -4,13 +4,12 @@ A swarm-based single-objective continuous minimizer, the classic benchmark
 suite it was evaluated on, and a seeded experiment harness.
 """
 
-from codoa.benchmarks import REGISTRY, BenchmarkSpec, make_problem
+from codoa.benchmarks import REGISTRY, make_problem
 from codoa.engine import (
     AlgorithmParams,
     ConfigurationError,
     ObjectiveProblem,
     RunResult,
-    SwarmState,
     initialize,
     iterate,
     run,
@@ -30,7 +29,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgorithmParams",
-    "BenchmarkSpec",
     "ConfigurationError",
     "EntryReport",
     "ExperimentConfig",
@@ -40,7 +38,6 @@ __all__ = [
     "RandomStream",
     "RunResult",
     "RunStatistics",
-    "SwarmState",
     "initialize",
     "iterate",
     "make_problem",

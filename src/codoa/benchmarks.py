@@ -165,12 +165,9 @@ REGISTRY: dict[str, BenchmarkSpec] = {
 MAX_DIMENSION = 100_000  # a 50-particle swarm of this dimension holds 40 MB of positions
 
 
-def make_problem(name: str, dimension: int = 2) -> ObjectiveProblem:
-    """Build the named benchmark as a box-constrained problem.
-
-    The five two-dimensional functions accept only ``dimension=2``; sphere
-    and rosenbrock accept any integer ``dimension`` from 2 to ``MAX_DIMENSION``.
-    """
+def check_entry(name: str, dimension: int) -> tuple[BenchmarkSpec, int]:
+    """The spec of the named benchmark and ``dimension`` as an ``int``, if the
+    benchmark takes that dimension (see :func:`make_problem`); else ConfigurationError."""
     dimension = checked("dimension", dimension, "int")
     spec = REGISTRY.get(name)
     if spec is None:
@@ -187,6 +184,16 @@ def make_problem(name: str, dimension: int = 2) -> ObjectiveProblem:
             f"function {name!r} needs 2 <= dimension <= {MAX_DIMENSION}, "
             f"got dimension={dimension}"
         )
+    return spec, dimension
+
+
+def make_problem(name: str, dimension: int = 2) -> ObjectiveProblem:
+    """Build the named benchmark as a box-constrained problem.
+
+    The five two-dimensional functions accept only ``dimension=2``; sphere
+    and rosenbrock accept any integer ``dimension`` from 2 to ``MAX_DIMENSION``.
+    """
+    spec, dimension = check_entry(name, dimension)
     bounds = spec.bounds * dimension if len(spec.bounds) == 1 else spec.bounds
     minimizer = spec.minimizer * dimension if len(spec.minimizer) == 1 else spec.minimizer
     return ObjectiveProblem(

@@ -13,13 +13,14 @@ from __future__ import annotations
 import atexit
 import csv
 import json
+import math
 import os
 import statistics
 import sys
 import threading
 from dataclasses import asdict, dataclass
 
-from codoa.benchmarks import make_problem
+from codoa.benchmarks import check_entry, make_problem
 from codoa.engine import AlgorithmParams, ConfigurationError, check_fields, checked, run
 
 REPORT_COLUMNS = (
@@ -65,7 +66,7 @@ class ExperimentConfig:
             raise ConfigurationError("entries must hold at least one (function, dimension) pair")
         object.__setattr__(self, "entries", entries)
         for name, dim in entries:
-            make_problem(name, dim)  # raises ConfigurationError on a bad entry
+            check_entry(name, dim)  # raises ConfigurationError on a bad entry; builds nothing
         if self.runs_per_entry < 1:
             raise ConfigurationError(
                 f"runs_per_entry must be positive, got {self.runs_per_entry}"
@@ -90,7 +91,8 @@ class RunStatistics:
     @classmethod
     def from_runs(cls, bests) -> "RunStatistics":
         bests = tuple(float(b) for b in bests)
-        stddev = statistics.stdev(bests) if len(bests) > 1 else 0.0
+        finite = all(map(math.isfinite, bests))  # else the spread is undefined: stdev raises
+        stddev = (statistics.stdev(bests) if finite else math.nan) if len(bests) > 1 else 0.0
         return cls(
             best=min(bests),
             worst=max(bests),

@@ -4,7 +4,6 @@ import codoa
 
 PUBLIC_NAMES = [
     "AlgorithmParams",
-    "BenchmarkSpec",
     "ConfigurationError",
     "EntryReport",
     "ExperimentConfig",
@@ -14,7 +13,6 @@ PUBLIC_NAMES = [
     "RandomStream",
     "RunResult",
     "RunStatistics",
-    "SwarmState",
     "initialize",
     "iterate",
     "make_problem",

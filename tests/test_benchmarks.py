@@ -4,6 +4,7 @@ import functools
 import math
 import operator
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from codoa.benchmarks import (
     REGISTRY,
     beale,
     booth,
+    check_entry,
     goldstein_price,
     make_problem,
     mccormick,
@@ -181,6 +183,23 @@ class TestMakeProblem:
     def test_dimension_that_is_not_an_integer_is_rejected_naming_it(self, name, dimension):
         with pytest.raises(ConfigurationError, match="dimension"):
             make_problem(name, dimension)
+
+    @pytest.mark.parametrize("name, dimension", [
+        ("booth", 3), ("nonesuch", 2), ("sphere", 1), ("rosenbrock", 2**64), ("sphere", 2.7),
+        ("booth", None),
+    ])
+    def test_check_entry_rejects_what_make_problem_rejects_with_its_message(self, name,
+                                                                          dimension):
+        with pytest.raises(ConfigurationError) as rejected:
+            make_problem(name, dimension)
+        with pytest.raises(ConfigurationError, match=re.escape(str(rejected.value))):
+            check_entry(name, dimension)
+
+    @pytest.mark.parametrize("name, dimension", [("booth", 2), ("sphere", np.int64(30))])
+    def test_check_entry_gives_the_spec_and_an_int_dimension(self, name, dimension):
+        spec, checked_dimension = check_entry(name, dimension)
+        assert spec is REGISTRY[name]
+        assert checked_dimension == dimension and type(checked_dimension) is int
 
     def test_registry_lists_all_seven(self):
         assert list(REGISTRY) == [

@@ -1,9 +1,12 @@
 """Command-line interface tests: parsing, defaults, outputs, exit codes."""
 
+import dataclasses
 import json
+import math
 
 import pytest
 
+from codoa.benchmarks import REGISTRY
 from codoa.cli import UsageError, main, parse_args
 from codoa.engine import AlgorithmParams
 from codoa.harness import ExperimentConfig
@@ -142,6 +145,15 @@ class TestCmdRun:
         assert parsed["entries"][0]["function"] == "sphere"
         assert parsed["entries"][0]["dimension"] == 4
         assert parsed["params"]["num_particles"] == 4
+
+    def test_runs_whose_best_is_inf_print_a_nan_stddev(self, monkeypatch, capsys):
+        booth = dataclasses.replace(REGISTRY["booth"], func=lambda pos: math.inf)
+        monkeypatch.setitem(REGISTRY, "booth", booth)
+        assert main(["run", "--function", "booth", "--particles", "4", "--iterations", "6",
+                     "--runs", "2"]) == 0
+        captured = capsys.readouterr()
+        assert "best=inf worst=inf mean=inf median=inf stddev=nan" in captured.out
+        assert captured.err == ""
 
     def test_worker_pool_prints_the_serial_summary(self, capsys):
         args = ["run", "--function", "booth", "--iterations", "5", "--runs", "3"]

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from codoa import benchmarks, harness
 from codoa.benchmarks import REGISTRY, make_problem
-from codoa.engine import AlgorithmParams, ConfigurationError, run
+from codoa.cli import main
+from codoa.engine import AlgorithmParams, ConfigurationError, ObjectiveProblem, run
 from codoa.harness import (
     REPORT_COLUMNS,
     ExperimentConfig,
@@ -91,6 +93,19 @@ def no_pool_yet():
     harness._close_pool()
     yield
     harness._close_pool()
+
+
+@pytest.fixture()
+def problems_built(monkeypatch):
+    """Every ObjectiveProblem this process constructs, in order."""
+    built, post_init = [], ObjectiveProblem.__post_init__
+
+    def counted_post_init(problem):
+        post_init(problem)
+        built.append(problem)
+
+    monkeypatch.setattr(ObjectiveProblem, "__post_init__", counted_post_init)
+    return built
 
 
 @pytest.fixture()
@@ -376,6 +391,17 @@ class TestRunExperiment:
                               capture_output=True, text=True, timeout=60, check=True)
         assert done.stdout.strip() == "False"
 
+    def test_a_replaced_spec_with_a_bad_box_fails_in_run_experiment_before_any_run(
+            self, small_config, monkeypatch):
+        runs = []
+        monkeypatch.setattr(harness, "run", lambda *args: runs.append(args))
+        sphere = dataclasses.replace(REGISTRY["sphere"], bounds=((1.0, -1.0),))
+        monkeypatch.setitem(REGISTRY, "sphere", sphere)
+        config = dataclasses.replace(small_config)  # the entry is known: the config holds
+        with pytest.raises(ConfigurationError, match="lower_bounds"):
+            run_experiment(config)
+        assert runs == []
+
     def test_invalid_entry_fails_before_any_run(self):
         with pytest.raises(ConfigurationError, match="booth"):
             ExperimentConfig(entries=(("booth", 3),), params=SMALL_PARAMS)
@@ -413,6 +439,29 @@ class TestRunExperiment:
                                   runs_per_entry=np.int32(2), base_seed=np.uint64(2**63))
         assert config.entries == (("sphere", 3),) and type(config.entries[0][1]) is int
         assert type(config.runs_per_entry) is int and config.base_seed == 2**63
+
+
+class TestWhereProblemsAreBuilt:
+    def test_configs_build_no_problem(self, problems_built):
+        config = ExperimentConfig(entries=(("booth", 2), ("sphere", 3)), params=SMALL_PARAMS)
+        dataclasses.replace(table2_grid(), runs_per_entry=2, base_seed=3)
+        dataclasses.replace(config, entries=(("rosenbrock", 30),))
+        assert problems_built == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_experiment_builds_one_problem_per_entry(self, problems_built, no_pool_yet,
+                                                         workers):
+        config = dataclasses.replace(table2_grid(), runs_per_entry=2, params=SMALL_PARAMS)
+        run_experiment(config, workers=workers)
+        assert [p.dimension for p in problems_built] == [dim for _, dim in config.entries]
+
+    def test_codoa_table2_builds_one_problem_per_entry(self, problems_built, monkeypatch,
+                                                        tmp_path):
+        # each run is stubbed out: what is counted is the path from the command to the runs
+        monkeypatch.setattr(harness, "run",
+                            lambda params, problem, seed: types.SimpleNamespace(best_fitness=1.0))
+        assert main(["table2", "--runs", "2", "--out", str(tmp_path / "table2.csv")]) == 0
+        assert len(problems_built) == len(table2_grid().entries) == 15
 
 
 class TestTable2Grid:
@@ -569,6 +618,17 @@ class TestRunStatistics:
                             abs_tol=1e-9)
         assert stats.best <= stats.median <= stats.worst
         assert stats.stddev >= 0.0
+
+    @pytest.mark.parametrize("values", [[math.inf, 1.0], [math.inf, math.inf],
+                                        [2.0, math.inf, 0.5]])
+    def test_an_infinite_best_makes_the_stddev_nan(self, values):
+        stats = RunStatistics.from_runs(values)
+        assert (stats.best, stats.worst, stats.mean) == (min(values), math.inf, math.inf)
+        assert stats.run_bests == tuple(values)
+        assert math.isnan(stats.stddev)
+
+    def test_one_run_has_no_spread_even_at_inf(self):
+        assert RunStatistics.from_runs([math.inf]).stddev == 0.0
 
 
 VALID_DOC = {
