@@ -168,7 +168,7 @@ MAX_DIMENSION = 100_000  # a 50-particle swarm of this dimension holds 40 MB of 
 def check_entry(name: str, dimension: int) -> tuple[BenchmarkSpec, int]:
     """The spec of the named benchmark and ``dimension`` as an ``int``, if the
     benchmark takes that dimension (see :func:`make_problem`); else ConfigurationError."""
-    dimension = checked("dimension", dimension, "int")
+    dimension = checked(f"dimension of {name!r}", dimension, "int")
     spec = REGISTRY.get(name)
     if spec is None:
         raise ConfigurationError(
@@ -197,7 +197,6 @@ def make_problem(name: str, dimension: int = 2) -> ObjectiveProblem:
     bounds = spec.bounds * dimension if len(spec.bounds) == 1 else spec.bounds
     minimizer = spec.minimizer * dimension if len(spec.minimizer) == 1 else spec.minimizer
     return ObjectiveProblem(
-        dimension=dimension,
         lower_bounds=np.array([b[0] for b in bounds]),
         upper_bounds=np.array([b[1] for b in bounds]),
         evaluator=spec.func,

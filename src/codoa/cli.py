@@ -89,7 +89,7 @@ def _params_line(params: AlgorithmParams) -> str:
     return (
         f"params: N={params.num_particles} iterations={params.max_iterations} "
         f"ir0={params.initial_ir:g} max_ir={params.max_ir:g} "
-        f"ir_floor={params.ir_floor:g} ml={params.maturity_limit} r={params.rationality_rate}"
+        f"ml={params.maturity_limit} r={params.rationality_rate}"
     )
 
 

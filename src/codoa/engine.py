@@ -3,7 +3,7 @@
 The Cognitive Development Optimization Algorithm keeps a swarm of particles,
 each carrying a position, its fitness, an interactivity rate ``ir`` (the
 step scale toward the best point found so far, kept within
-``[ir_floor, max_ir]``) and a signed experience counter ``ex``, which starts
+``[IR_FLOOR, max_ir]``) and a signed experience counter ``ex``, which starts
 at zero.  Each iteration applies a fixed sequence of phases that grow,
 decay, and redistribute interactivity while particles drift toward the
 archived global best.  Minimization only; to maximize f, minimize -f.
@@ -15,7 +15,7 @@ repeated rationalizing boosts are one step).
 
 A boost (``ir + u * ir`` or ``ir + u * (b / ir)``) never lowers ``ir`` and a
 decay (``u * ir`` with ``u < 1``) never raises it, so a boost is capped only
-at ``max_ir`` and a decay floored only at ``ir_floor``.
+at ``max_ir`` and a decay floored only at ``IR_FLOOR``.
 
 ``problem.evaluator`` maps one point to its fitness, and must be pure, as
 deterministic runs already require.  It may carry a ``batch`` attribute
@@ -46,6 +46,9 @@ import numpy as np
 from codoa.rng import RandomStream
 
 
+IR_FLOOR = 1e-6  # the least interactivity: positive, so that ratios of it stay finite
+
+
 class ConfigurationError(ValueError):
     """Invalid algorithm parameters, problem description, or experiment setup."""
 
@@ -73,17 +76,12 @@ def check_fields(obj) -> None:
 
 @dataclass(frozen=True)
 class AlgorithmParams:
-    """Tunable knobs of the optimizer; the defaults are the reference settings.
-
-    ``ir_floor`` is the lower limit on interactivity: a strictly positive
-    epsilon that keeps interactivity ratios divisible.
-    """
+    """Tunable knobs of the optimizer; the defaults are the reference settings."""
 
     num_particles: int = 50
     max_iterations: int = 5000
     initial_ir: float = 0.5
     max_ir: float = 10.0
-    ir_floor: float = 1e-6
     maturity_limit: int = 3
     rationality_rate: int = 2
 
@@ -97,10 +95,10 @@ class AlgorithmParams:
             raise ConfigurationError(
                 f"max_iterations must be non-negative, got {self.max_iterations}"
             )
-        if not 0.0 < self.ir_floor <= self.initial_ir <= self.max_ir:
+        if not IR_FLOOR <= self.initial_ir <= self.max_ir:
             raise ConfigurationError(
-                "interactivity bounds must satisfy 0 < ir_floor <= initial_ir <= max_ir, got "
-                f"ir_floor={self.ir_floor}, initial_ir={self.initial_ir}, max_ir={self.max_ir}"
+                f"interactivity bounds must satisfy IR_FLOOR ({IR_FLOOR:g}) <= initial_ir <= "
+                f"max_ir, got initial_ir={self.initial_ir}, max_ir={self.max_ir}"
             )
         if self.rationality_rate < 0:
             raise ConfigurationError(
@@ -110,19 +108,16 @@ class AlgorithmParams:
 
 @dataclass(frozen=True, eq=False)
 class ObjectiveProblem:
-    """Box-constrained minimization target."""
+    """Box-constrained minimization target; its ``dimension`` is ``len(lower_bounds)``."""
 
-    dimension: int
     lower_bounds: np.ndarray
     upper_bounds: np.ndarray
     evaluator: Callable[[np.ndarray], float]
     known_minimum_value: Optional[float] = None
     known_minimizer: Optional[np.ndarray] = None
+    dimension: int = field(init=False)
 
     def __post_init__(self) -> None:
-        check_fields(self)
-        if self.dimension < 1:
-            raise ConfigurationError(f"dimension must be positive, got {self.dimension}")
         lower = self._point("lower_bounds")
         upper = self._point("upper_bounds")
         if not np.all(lower < upper):
@@ -140,14 +135,21 @@ class ObjectiveProblem:
             self._point("known_minimizer")
 
     def _point(self, name: str) -> np.ndarray:
-        """Store field ``name`` as a finite float array of shape ``(dimension,)``, and return it."""
+        """Store field ``name`` as a finite float array, and return it: ``lower_bounds``, read
+        first, of any non-empty 1-D shape, setting ``dimension``; the others of ``(dimension,)``."""
         try:
             point = np.asarray(getattr(self, name), dtype=float)
         except (TypeError, ValueError, OverflowError):
             raise ConfigurationError(
                 f"{name} must be an array of numbers, got {getattr(self, name)!r}"
             ) from None
-        if point.shape != (self.dimension,):
+        if name == "lower_bounds":
+            if point.ndim != 1 or not point.size:
+                raise ConfigurationError(
+                    f"lower_bounds must be a non-empty 1-D array, got shape {point.shape}"
+                )
+            object.__setattr__(self, "dimension", point.size)
+        elif point.shape != (self.dimension,):
             raise ConfigurationError(
                 f"{name} must have shape ({self.dimension},), got {point.shape}"
             )
@@ -242,7 +244,7 @@ def socialization(state: SwarmState, params: AlgorithmParams) -> None:
 
 def decay_all_ir(state: SwarmState, params: AlgorithmParams) -> None:
     """Multiplicatively decay every particle's interactivity."""
-    state.ir = np.maximum(state.rng.draw(len(state.ir)) * state.ir, params.ir_floor)
+    state.ir = np.maximum(state.rng.draw(len(state.ir)) * state.ir, IR_FLOOR)
 
 
 def move_toward_best(

@@ -23,20 +23,6 @@ from dataclasses import asdict, dataclass
 from codoa.benchmarks import check_entry, make_problem
 from codoa.engine import AlgorithmParams, ConfigurationError, check_fields, checked, run
 
-REPORT_COLUMNS = (
-    "function",
-    "dimension",
-    "runs",
-    "best",
-    "worst",
-    "mean",
-    "median",
-    "stddev",
-    "known_minimum",
-    "abs_error",
-    "base_seed",
-)
-
 TABLE2_DIMENSIONS = (2, 5, 10, 20, 30)
 
 REPORT_FORMATS = ("csv", "json")
@@ -53,20 +39,15 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        try:
-            pairs = tuple((str(name), dim) for name, dim in self.entries)
+        try:  # builds no problem; a ConfigurationError is a ValueError
+            entries = tuple((str(name), check_entry(name, dim)[1]) for name, dim in self.entries)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(
-                f"each entry must be a (function, dimension) pair: {exc}"
+                f"entries must be (function, dimension) pairs that a benchmark takes: {exc}"
             ) from None
-        entries = tuple(
-            (name, checked(f"entries dimension of {name!r}", dim, "int")) for name, dim in pairs
-        )
         if not entries:
             raise ConfigurationError("entries must hold at least one (function, dimension) pair")
         object.__setattr__(self, "entries", entries)
-        for name, dim in entries:
-            check_entry(name, dim)  # raises ConfigurationError on a bad entry; builds nothing
         if self.runs_per_entry < 1:
             raise ConfigurationError(
                 f"runs_per_entry must be positive, got {self.runs_per_entry}"
@@ -264,14 +245,20 @@ def _entry_row(report: ExperimentReport, entry: EntryReport) -> dict:
     }
 
 
+def _finite_or_none(value):
+    """``value``, or None (JSON's ``null``) where it is a float that is not finite."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def report_to_dict(report: ExperimentReport) -> dict:
-    """JSON-ready view of a report; floats are kept exact for round-trips."""
+    """JSON-ready view of a report: finite floats are kept exact for round-trips, and
+    every other float (an infinite best, a NaN spread) is None."""
     config = report.config
     seeds = range(config.base_seed, config.base_seed + config.runs_per_entry)
     entries = []
     for entry in report.entries:
-        row = _entry_row(report, entry)
-        row["run_bests"] = list(entry.stats.run_bests)
+        row = {key: _finite_or_none(value) for key, value in _entry_row(report, entry).items()}
+        row["run_bests"] = [_finite_or_none(best) for best in entry.stats.run_bests]
         row["seeds"] = list(seeds)
         entries.append(row)
     return {
@@ -306,11 +293,10 @@ def write_report(report: ExperimentReport, output_format: str, destination=None)
 
 def _emit(report: ExperimentReport, output_format: str, fh) -> None:
     if output_format == "json":
-        json.dump(report_to_dict(report), fh, indent=2)
+        json.dump(report_to_dict(report), fh, indent=2, allow_nan=False)
         fh.write("\n")
         return
+    rows = [_entry_row(report, entry) for entry in report.entries]
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for entry in report.entries:
-        row = _entry_row(report, entry)
-        writer.writerow([_cell(row[col]) for col in REPORT_COLUMNS])
+    writer.writerows(rows[:1])  # the header: a row's keys (none for a report of no entries)
+    writer.writerows([_cell(value) for value in row.values()] for row in rows)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from codoa import engine
-from codoa.engine import AlgorithmParams, ObjectiveProblem, RunResult
+from codoa.engine import IR_FLOOR, AlgorithmParams, ObjectiveProblem, RunResult
 
 
 def run_many(params: AlgorithmParams, problem: ObjectiveProblem, seeds) -> list[RunResult]:
@@ -99,7 +99,7 @@ class _Stack:
 
     def decay(self) -> None:
         u = np.concatenate([rng.draw(self.n) for rng in self.rngs])
-        self.ir = np.maximum(u * self.ir, self.params.ir_floor)
+        self.ir = np.maximum(u * self.ir, IR_FLOOR)
 
     def reward(self) -> None:
         """:func:`engine.reward_best` for every swarm."""

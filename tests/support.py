@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from codoa.engine import ObjectiveProblem, SwarmState
+from codoa.engine import IR_FLOOR, ObjectiveProblem, SwarmState
 
 
 class PinnedStream:
@@ -41,7 +41,6 @@ def box_problem(lower, upper, evaluator=None) -> ObjectiveProblem:
     if evaluator is None:
         evaluator = lambda x: float(np.square(x).sum())
     return ObjectiveProblem(
-        dimension=lower.size,
         lower_bounds=lower,
         upper_bounds=np.asarray(upper, dtype=float),
         evaluator=evaluator,
@@ -119,7 +118,7 @@ def naive_sample_stdev(xs) -> float:
 
 def assert_ir_and_bounds(state, params, problem) -> None:
     """Interactivity within [floor, max]; every coordinate inside the box."""
-    assert np.all(state.ir >= params.ir_floor), f"ir under the floor: {state.ir.min()}"
+    assert np.all(state.ir >= IR_FLOOR), f"ir under the floor: {state.ir.min()}"
     assert np.all(state.ir <= params.max_ir), f"ir over the maximum: {state.ir.max()}"
     assert np.all(state.pos >= problem.lower_bounds), "position under lower bound"
     assert np.all(state.pos <= problem.upper_bounds), "position over upper bound"

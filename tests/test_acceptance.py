@@ -24,6 +24,7 @@ from codoa.benchmarks import (
 )
 from codoa.cli import main
 from codoa.engine import (
+    IR_FLOOR,
     AlgorithmParams,
     decay_all_ir,
     initialize,
@@ -228,7 +229,7 @@ class TestPinnedEquationChecks:
         state = make_state(fitness=[1.0, 2.0], ir=[0.4, 0.4],
                            rng=PinnedStream(0.0))
         decay_all_ir(state, params)
-        checks.append(state.ir[0] == params.ir_floor)
+        checks.append(state.ir[0] == IR_FLOOR)
 
         # move: half a scaled gap of 2 with ir 0.5 advances 0.5
         problem = box_problem([-10.0], [10.0])

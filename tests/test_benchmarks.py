@@ -280,6 +280,7 @@ class TestBatchForms:
         for field in ("lower_bounds", "upper_bounds", "known_minimizer"):
             assert _bits(getattr(copy, field)) == _bits(getattr(problem, field))
         assert copy.known_minimum_value == problem.known_minimum_value
+        assert copy.dimension == dim
 
     @pytest.mark.parametrize("name, wrong", WRONG_CASES)
     def test_batch_is_bit_equal_on_points_where_a_wrong_power_is_not(self, name, wrong,

@@ -7,12 +7,16 @@ import math
 import pytest
 
 from codoa.benchmarks import REGISTRY
-from codoa.cli import UsageError, main, parse_args
+from codoa.cli import _PARAM_FLAGS, UsageError, main, parse_args
 from codoa.engine import AlgorithmParams
 from codoa.harness import ExperimentConfig
 
 
 class TestParsing:
+    def test_the_run_flags_set_every_algorithm_parameter(self):
+        flagged = {name for _, name, _ in _PARAM_FLAGS}
+        assert flagged == {f.name for f in dataclasses.fields(AlgorithmParams)}
+
     def test_run_defaults_are_the_reference_settings(self):
         ns = parse_args(["run", "--function", "booth", "--seed", "7"])
         assert ns.subcommand == "run"
@@ -154,6 +158,26 @@ class TestCmdRun:
         captured = capsys.readouterr()
         assert "best=inf worst=inf mean=inf median=inf stddev=nan" in captured.out
         assert captured.err == ""
+
+    def test_a_json_report_writes_null_for_each_value_that_is_not_finite(
+            self, monkeypatch, tmp_path):
+        booth = dataclasses.replace(REGISTRY["booth"], func=lambda pos: math.inf)
+        monkeypatch.setitem(REGISTRY, "booth", booth)
+        args = ["run", "--function", "booth", "--particles", "4", "--iterations", "6",
+                "--runs", "2", "--out"]
+        assert main(args + [str(tmp_path / "report.json"), "--format", "json"]) == 0
+        assert main(args + [str(tmp_path / "report.csv"), "--format", "csv"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        text = (tmp_path / "report.json").read_text()
+        [entry] = json.loads(text, parse_constant=reject)["entries"]
+        gone = ("best", "worst", "mean", "median", "stddev", "abs_error")
+        assert {key: entry[key] for key in gone} == dict.fromkeys(gone)
+        assert entry["run_bests"] == [None, None] and entry["known_minimum"] == 0.0
+        row = (tmp_path / "report.csv").read_text().splitlines()[1]
+        assert row == "booth,2,2,inf,inf,inf,inf,nan,0,inf,1"  # the CSV keeps inf and nan
 
     def test_worker_pool_prints_the_serial_summary(self, capsys):
         args = ["run", "--function", "booth", "--iterations", "5", "--runs", "3"]

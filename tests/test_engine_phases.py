@@ -11,6 +11,7 @@ import pytest
 from codoa import engine
 from codoa.benchmarks import make_problem
 from codoa.engine import (
+    IR_FLOOR,
     AlgorithmParams,
     balancing,
     decay_all_ir,
@@ -97,7 +98,7 @@ class TestDecayAllIr:
     def test_zero_rand_engages_the_floor(self):
         state = make_state(fitness=[1.0, 2.0], ir=[0.4, 0.4], rng=PinnedStream(0.0))
         decay_all_ir(state, PARAMS)
-        assert all(v == PARAMS.ir_floor for v in state.ir)
+        assert all(v == IR_FLOOR for v in state.ir)
 
     def test_decay_never_exceeds_current_value(self):
         state = make_state(fitness=[1.0, 2.0], ir=[10.0, 10.0],

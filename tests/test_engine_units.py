@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from codoa.benchmarks import REGISTRY, make_problem
 from codoa.engine import (
+    IR_FLOOR,
     AlgorithmParams,
     ConfigurationError,
     ObjectiveProblem,
@@ -31,7 +32,7 @@ class TestAlgorithmParams:
         assert (p.num_particles, p.max_iterations) == (50, 5000)
         assert (p.initial_ir, p.max_ir) == (0.5, 10.0)
         assert (p.maturity_limit, p.rationality_rate) == (3, 2)
-        assert p.ir_floor == 1e-6
+        assert IR_FLOOR == 1e-6
 
     def test_needs_at_least_two_particles(self):
         with pytest.raises(ConfigurationError, match="num_particles"):
@@ -44,15 +45,21 @@ class TestAlgorithmParams:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"ir_floor": 0.0},
-            {"ir_floor": -0.1},
+            {"initial_ir": 0.0},  # below IR_FLOOR
+            {"initial_ir": -0.1},
             {"initial_ir": 20.0},  # above max_ir
-            {"ir_floor": 0.9, "initial_ir": 0.5},
+            {"initial_ir": 5e-7, "max_ir": 5e-7},
         ],
     )
     def test_rejects_bad_interactivity_ordering(self, kwargs):
         with pytest.raises(ConfigurationError, match="ir"):
             AlgorithmParams(**kwargs)
+
+    @pytest.mark.parametrize("initial_ir, max_ir", [(IR_FLOOR, 10.0), (0.5, 0.5),
+                                                    (IR_FLOOR, IR_FLOOR)])
+    def test_initial_ir_may_sit_at_either_end(self, initial_ir, max_ir):
+        params = AlgorithmParams(initial_ir=initial_ir, max_ir=max_ir)
+        assert (params.initial_ir, params.max_ir) == (initial_ir, max_ir)
 
     def test_rejects_negative_rationality(self):
         with pytest.raises(ConfigurationError, match="rationality"):
@@ -74,7 +81,7 @@ class TestAlgorithmParams:
         assert params.num_particles == 7 and type(params.num_particles) is int
         assert params.maturity_limit == -2 and type(params.maturity_limit) is int
 
-    @pytest.mark.parametrize("field", ["initial_ir", "max_ir", "ir_floor"])
+    @pytest.mark.parametrize("field", ["initial_ir", "max_ir"])
     @pytest.mark.parametrize("value", [
         math.inf, -math.inf, math.nan, 1e309, pytest.param(10**400, id="10**400"), "0.5", None,
         True,
@@ -90,12 +97,13 @@ def _bits(value):
 
 @st.composite
 def _clamp_cases(draw):
-    """Valid interactivity bounds, ``ir`` and ``b`` within them (ends included), ``u`` in [0, 1)."""
-    floor = draw(st.floats(min_value=0.0, max_value=1e3, exclude_min=True))
-    top = draw(st.floats(min_value=floor, allow_infinity=False))
-    within = st.one_of(st.just(floor), st.just(top), st.floats(min_value=floor, max_value=top))
+    """A valid ``max_ir``, ``ir`` and ``b`` within [IR_FLOOR, max_ir] (ends included),
+    ``u`` in [0, 1)."""
+    top = draw(st.floats(min_value=IR_FLOOR, allow_infinity=False))
+    within = st.one_of(st.just(IR_FLOOR), st.just(top),
+                       st.floats(min_value=IR_FLOOR, max_value=top))
     u = draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
-    return AlgorithmParams(ir_floor=floor, initial_ir=floor, max_ir=top), draw(within), u, draw(within)
+    return AlgorithmParams(initial_ir=IR_FLOOR, max_ir=top), draw(within), u, draw(within)
 
 
 class TestInteractivityClamps:
@@ -107,7 +115,7 @@ class TestInteractivityClamps:
     @given(_clamp_cases())
     def test_one_sided_forms_equal_the_two_sided_clamp(self, case):
         params, ir, u, b = case
-        lo, hi = params.ir_floor, params.max_ir
+        lo, hi = IR_FLOOR, params.max_ir
         ir_a, u_a = np.array([ir]), np.array([u])
         with np.errstate(over="ignore", invalid="ignore"):  # b / ir may overflow, 0 * inf is nan
             boost, rational, decay = ir_a + u_a * ir_a, ir_a + u_a * (b / ir_a), u_a * ir_a
@@ -138,31 +146,41 @@ class TestInteractivityClamps:
 class TestObjectiveProblem:
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ConfigurationError, match="bounds"):
-            ObjectiveProblem(2, [1.0, 0.0], [0.0, 1.0], lambda x: 0.0)
+            ObjectiveProblem([1.0, 0.0], [0.0, 1.0], lambda x: 0.0)
 
-    def test_rejects_bound_shape_mismatch(self):
-        with pytest.raises(ConfigurationError, match="shape"):
-            ObjectiveProblem(3, [0.0, 0.0], [1.0, 1.0], lambda x: 0.0)
+    @pytest.mark.parametrize("lower", [[], [[0.0, 0.0]], 0.0])
+    def test_rejects_lower_bounds_that_are_not_a_non_empty_vector(self, lower):
+        with pytest.raises(ConfigurationError, match="lower_bounds must be a non-empty 1-D"):
+            ObjectiveProblem(lower, [1.0, 1.0], lambda x: 0.0)
+
+    @pytest.mark.parametrize("upper", [[1.0], [1.0, 1.0, 1.0]])
+    def test_rejects_upper_bounds_of_another_length(self, upper):
+        with pytest.raises(ConfigurationError, match=r"upper_bounds must have shape \(2,\)"):
+            ObjectiveProblem([0.0, 0.0], upper, lambda x: 0.0)
+
+    @pytest.mark.parametrize("field", ["lower_bounds", "upper_bounds"])
+    @pytest.mark.parametrize("value", ["x", [[0.0], [0.0, 1.0]], ["a", 1.0]])
+    def test_rejects_bounds_that_are_not_numbers_naming_them(self, field, value):
+        bounds = {"lower_bounds": [0.0, 0.0], "upper_bounds": [1.0, 1.0], field: value}
+        with pytest.raises(ConfigurationError, match=f"{field} must be an array of numbers"):
+            ObjectiveProblem(evaluator=lambda x: 0.0, **bounds)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_bounds(self, bad):
         with pytest.raises(ConfigurationError, match="lower_bounds"):
-            ObjectiveProblem(2, [bad, 0.0], [1.0, 1.0], lambda x: 0.0)
+            ObjectiveProblem([bad, 0.0], [1.0, 1.0], lambda x: 0.0)
         with pytest.raises(ConfigurationError, match="upper_bounds"):
-            ObjectiveProblem(2, [0.0, 0.0], [1.0, bad], lambda x: 0.0)
+            ObjectiveProblem([0.0, 0.0], [1.0, bad], lambda x: 0.0)
 
     def test_rejects_bounds_whose_width_overflows(self):
         with pytest.raises(ConfigurationError, match="upper_bounds - lower_bounds"):
-            ObjectiveProblem(2, [-1e308] * 2, [1e308] * 2, lambda x: 0.0)
+            ObjectiveProblem([-1e308] * 2, [1e308] * 2, lambda x: 0.0)
 
-    def test_rejects_nonpositive_dimension(self):
-        with pytest.raises(ConfigurationError, match="dimension"):
-            ObjectiveProblem(0, [], [], lambda x: 0.0)
-
-    @pytest.mark.parametrize("dimension", [2.0, True])
-    def test_rejects_non_integer_dimension(self, dimension):
-        with pytest.raises(ConfigurationError, match="dimension"):
-            ObjectiveProblem(dimension, [0.0, 0.0], [1.0, 1.0], lambda x: 0.0)
+    def test_dimension_is_the_length_of_the_bounds_and_survives_replace(self):
+        problem = ObjectiveProblem([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], lambda x: 0.0)
+        assert problem.dimension == 3 and type(problem.dimension) is int
+        copy = dataclasses.replace(problem, evaluator=lambda x: 1.0)
+        assert copy.dimension == 3 and copy.evaluator(None) == 1.0
 
     @pytest.mark.parametrize("field, value", [
         ("known_minimum_value", "x"),
@@ -174,16 +192,16 @@ class TestObjectiveProblem:
     ])
     def test_rejects_a_bad_known_minimum_naming_the_field(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
-            ObjectiveProblem(2, [0.0, 0.0], [1.0, 1.0], lambda x: 0.0, **{field: value})
+            ObjectiveProblem([0.0, 0.0], [1.0, 1.0], lambda x: 0.0, **{field: value})
 
     @pytest.mark.parametrize("value", [None, 0, -1.5, np.float64(2.0), np.int64(3)])
     def test_accepts_a_finite_real_known_minimum_value_or_none(self, value):
-        problem = ObjectiveProblem(2, [0.0, 0.0], [1.0, 1.0], lambda x: 0.0,
+        problem = ObjectiveProblem([0.0, 0.0], [1.0, 1.0], lambda x: 0.0,
                                    known_minimum_value=value)
         assert problem.known_minimum_value == value
 
     def test_known_minimizer_is_stored_as_a_float_array(self):
-        problem = ObjectiveProblem(2, [0.0, 0.0], [1.0, 1.0], lambda x: 0.0,
+        problem = ObjectiveProblem([0.0, 0.0], [1.0, 1.0], lambda x: 0.0,
                                    known_minimizer=[1, 0])
         assert problem.known_minimizer.dtype == np.float64
         assert problem.known_minimizer.tolist() == [1.0, 0.0]

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from codoa import engine, lockstep
 from codoa.benchmarks import REGISTRY, make_problem
-from codoa.engine import AlgorithmParams, ConfigurationError, run
+from codoa.engine import IR_FLOOR, AlgorithmParams, ConfigurationError, run
 from codoa.lockstep import run_many
 
 from support import box_problem
@@ -38,18 +38,29 @@ PROBLEMS += [box_problem([-1.0, -1.0], [1.0, 1.0], unruly),
              box_problem([-1.0, -1.0], [1.0, 1.0], lambda x: unruly(x))]  # rows one by one
 
 
+@st.composite
+def interactivity(draw):
+    """``(initial_ir, max_ir)``: at the defaults, equal, with ``max_ir`` a few times
+    IR_FLOOR (so that ``ir`` sits at both clamps), or anywhere in between."""
+    max_ir = draw(st.sampled_from([10.0, 1.0, 3 * IR_FLOOR]) | st.floats(IR_FLOOR, 20.0))
+    initial_ir = draw(st.sampled_from([0.5, max_ir, IR_FLOOR]) | st.floats(IR_FLOOR, max_ir))
+    return min(initial_ir, max_ir), max_ir
+
+
 @given(
     num_particles=st.integers(2, 12),
     max_iterations=st.integers(0, 200),
     rationality_rate=st.integers(0, 3),
     maturity_limit=st.integers(0, 4),
+    ir=interactivity(),
     problem=st.sampled_from(PROBLEMS),
     seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=5),
 )
 @settings(max_examples=120, deadline=None)
 def test_run_many_equals_a_run_per_seed(num_particles, max_iterations, rationality_rate,
-                                        maturity_limit, problem, seeds):
+                                        maturity_limit, ir, problem, seeds):
     params = AlgorithmParams(num_particles=num_particles, max_iterations=max_iterations,
+                             initial_ir=ir[0], max_ir=ir[1],
                              rationality_rate=rationality_rate, maturity_limit=maturity_limit)
     same_runs(params, problem, seeds)
 

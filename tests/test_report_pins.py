@@ -19,12 +19,12 @@ from codoa.cli import main
 
 REPORT_SHA256 = {
     "csv": "10f6537104a4944fc975c4d32ffdd87d464ae53e83f6e6e1b5c5578142243edc",
-    "json": "8528db43cf139a968c81ea1eea018d1a1f07af9328d47821334dfe37894e9953",
+    "json": "0bb01c86f2a0c4421512f680b2ab1a55a217929180320fec6a6384f6ba6dd95f",
 }
 
 RUN_STDOUT = (
     "function=booth dimension=2 runs=2 base_seed=1\n"
-    "params: N=50 iterations=50 ir0=0.5 max_ir=10 ir_floor=1e-06 ml=3 r=2\n"
+    "params: N=50 iterations=50 ir0=0.5 max_ir=10 ml=3 r=2\n"
     "best=2.14201052e-16 worst=4.64419059e-16 mean=3.39310055e-16 "
     "median=3.39310055e-16 stddev=1.7693085e-16\n"
     "known_minimum=0 abs_error=2.14201052e-16\n"
