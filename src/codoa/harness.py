@@ -2,8 +2,9 @@
 
 Runs are reproducible: run ``k`` of every entry uses ``base_seed + k``, so
 per-entry results are independent of entry order and of the execution
-schedule, pooled calls included, which run each worker's chunk of an entry's
-seeds in lockstep (see ``codoa.lockstep``).  Reports carry
+schedule, pooled calls included, which send each worker one task of seed
+chunks and run that task's runs of one dimension in lockstep (see
+``codoa.lockstep``).  Reports carry
 best/worst/mean/median plus the sample standard deviation (n - 1
 denominator).
 """
@@ -134,15 +135,15 @@ if hasattr(os, "register_at_fork"):  # absent where there is no fork
     os.register_at_fork(after_in_child=_forget_pool_in_child)
 
 
-def _pool_map(jobs: list, processes: int) -> list:
-    """``codoa.lockstep.run_many(params, problem, seeds)`` for each job, in order,
-    in the shared pool of ``processes``.
+def _pool_map(params: AlgorithmParams, tasks: list, processes: int) -> list:
+    """``codoa.lockstep.run_many(params, runs)`` for the ``(problem, seed)`` runs of
+    each task, in order, in the shared pool of ``processes``: one task per process.
 
-    Each job is pickled, so the problem's evaluator must pickle.  The pool is
+    Each task is pickled, so its problems' evaluators must pickle.  The pool is
     started on first use and kept for later calls.  A call that needs another
-    process count replaces it, and so does one that finds it broken as the jobs
+    process count replaces it, and so does one that finds it broken as the tasks
     are submitted (a worker died since the last call).  A call that fails while
-    its jobs run, or whose jobs do not pickle, drops the pool and raises.  Calls
+    its tasks run, or whose tasks do not pickle, drops the pool and raises.  Calls
     from other threads wait for the one running to finish.
     """
     global _pool
@@ -151,7 +152,7 @@ def _pool_map(jobs: list, processes: int) -> list:
 
     from codoa.lockstep import run_many  # only where a pool runs it
 
-    columns = list(zip(*jobs))
+    columns = [params] * len(tasks), tasks
     with _pool_lock:
         if _pool is not None and _pool[0] != processes:
             _close_pool()
@@ -159,7 +160,7 @@ def _pool_map(jobs: list, processes: int) -> list:
             _pool = (processes, ProcessPoolExecutor(max_workers=processes))
         try:
             try:
-                results = _pool[1].map(run_many, *columns)  # submits every job before it returns
+                results = _pool[1].map(run_many, *columns)  # submits every task before it returns
             except BrokenProcessPool:
                 _close_pool()
                 _pool = (processes, ProcessPoolExecutor(max_workers=processes))
@@ -176,12 +177,15 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     ``workers`` is an integer of at least 1.  Each entry's problem is built
     once, and every run of the entry, serial or pooled, uses it.  At 1, each
     run is one call of ``run`` on it.  Above 1, each entry's seeds are split
-    into ``min(workers, runs)`` contiguous chunks, and each chunk is sent with
-    the problem to a process pool of at most one process per chunk, which
-    later calls needing as many processes reuse; a chunk of several seeds runs
-    them in lockstep (see ``codoa.lockstep``), which gives each run's result
-    bit for bit.  Results are collected in (entry index, run index) order, so
-    the report is identical to a serial execution.
+    into ``min(workers, runs)`` contiguous chunks, one job each, and the jobs
+    are dealt round-robin into ``min(workers, jobs)`` tasks, one per process of
+    a pool that later calls needing as many processes reuse: task ``k`` holds
+    jobs ``k``, ``k + W``, ... (with as many chunks as workers, chunk ``k`` of
+    every entry).  A task runs its seeds by ``codoa.lockstep.run_many``, which
+    advances all its runs of one dimension in one lockstep stack, whatever
+    their entry, and gives each run's result bit for bit.  Results are put
+    back in (entry index, run index) order, so the report is identical to a
+    serial execution.
     """
     workers = checked("workers", workers, "int")
     if workers < 1:
@@ -192,9 +196,15 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     workers = min(workers, len(config.entries) * chunks)  # the pool starts them all at once
     problems = [make_problem(name, dim) for name, dim in config.entries]
     if workers > 1:
-        parts = [tuple(seeds[k * n // chunks : (k + 1) * n // chunks]) for k in range(chunks)]
-        jobs = [(config.params, problem, part) for problem in problems for part in parts]
-        bests = [result.best_fitness for chunk in _pool_map(jobs, workers) for result in chunk]
+        # run i is seed i % n of entry i // n; a job is one entry's chunk of them
+        jobs = [range(e * n + k * n // chunks, e * n + (k + 1) * n // chunks)
+                for e in range(len(problems)) for k in range(chunks)]
+        tasks = [[i for job in jobs[k::workers] for i in job] for k in range(workers)]
+        runs = [[(problems[i // n], seeds[i % n]) for i in task] for task in tasks]
+        bests = [0.0] * (len(problems) * n)
+        for task, results in zip(tasks, _pool_map(config.params, runs, workers)):
+            for i, result in zip(task, results):
+                bests[i] = result.best_fitness
     else:
         bests = [run(config.params, problem, seed).best_fitness
                  for problem in problems for seed in seeds]

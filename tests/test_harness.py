@@ -43,7 +43,8 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
 LAMBDA_BOOTH = lambda pos: benchmarks.booth(float(pos[0]), float(pos[1]))  # noqa: E731
 
 # argv[1] is the start method; prints "equal" twice when pooled == serial, before and
-# after REGISTRY["booth"] is replaced by a spec with sphere's function
+# after REGISTRY["booth"] is replaced by a spec with sphere's function.  At 2 workers the
+# second task holds two seeds of each entry: four swarms of dimension 2 on one stack
 POOLED_EQUALS_SERIAL_SCRIPT = """
 import dataclasses
 import multiprocessing
@@ -60,7 +61,7 @@ def pooled_equals_serial(config):
 
 if __name__ == "__main__":
     multiprocessing.set_start_method(sys.argv[1])
-    config = ExperimentConfig(entries=(("booth", 2), ("sphere", 3)), runs_per_entry=3,
+    config = ExperimentConfig(entries=(("booth", 2), ("sphere", 2)), runs_per_entry=3,
                               params=AlgorithmParams(num_particles=4, max_iterations=8))
     before = pooled_equals_serial(config)
     REGISTRY["booth"] = dataclasses.replace(REGISTRY["booth"], func=REGISTRY["sphere"].func)
@@ -95,6 +96,26 @@ def no_pool_yet():
     harness._close_pool()
     yield
     harness._close_pool()
+
+
+@pytest.fixture()
+def tasks_sent(no_pool_yet, monkeypatch):
+    """The tasks of each pooled call, which a stub executor runs in this process."""
+    sent = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def map(self, fn, params, tasks):
+            sent.append(list(tasks))
+            return map(fn, params, sent[-1])
+
+        def shutdown(self, wait=True):
+            pass
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    return sent
 
 
 @pytest.fixture()
@@ -218,6 +239,42 @@ class TestRunExperiment:
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         assert run_experiment(small_config, workers=workers) == run_experiment(small_config)
         assert sizes == [expected]  # 2 entries x 3 runs: 6 jobs
+
+    @pytest.mark.parametrize("entries, runs, workers, tasks", [
+        (2, 3, 2, 2), (2, 3, 7, 6), (2, 5, 2, 2), (3, 1, 2, 2), (3, 1, 5, 3), (15, 2, 2, 2),
+    ])
+    def test_a_pooled_call_sends_one_task_per_worker(self, tasks_sent, entries, runs, workers,
+                                                     tasks):
+        config = ExperimentConfig(entries=table2_grid().entries[:entries], runs_per_entry=runs,
+                                  params=AlgorithmParams(num_particles=4, max_iterations=2))
+        assert run_experiment(config, workers=workers) == run_experiment(config)
+        [sent] = tasks_sent
+        assert len(sent) == tasks == min(workers, entries * min(workers, runs))  # jobs: e * c
+        assert sum(map(len, sent)) == entries * runs
+
+    @pytest.mark.parametrize("entries, runs, layout", [
+        # uneven chunks: 5 seeds at 2 workers are chunks of 2 and 3, chunk k of each entry
+        ((("booth", 2), ("sphere", 3)), 5,
+         [[(0, 7), (0, 8), (1, 7), (1, 8)], [(0, 9), (0, 10), (0, 11), (1, 9), (1, 10), (1, 11)]]),
+        # one seed of three entries at 2 workers: jobs dealt round-robin
+        ((("booth", 2), ("sphere", 2), ("beale", 2)), 1, [[(0, 7), (2, 7)], [(1, 7)]]),
+    ])
+    def test_pooled_results_come_back_in_entry_and_seed_order(self, tasks_sent, monkeypatch,
+                                                              entries, runs, layout):
+        built = []
+
+        def recorded_make_problem(name, dim):
+            built.append(make_problem(name, dim))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "make_problem", recorded_make_problem)
+        config = ExperimentConfig(entries=entries, runs_per_entry=runs, base_seed=7,
+                                  params=SMALL_PARAMS)
+        pooled = run_experiment(config, workers=2)
+        [sent] = tasks_sent
+        entry = built.index  # problems compare by identity
+        assert [[(entry(problem), seed) for problem, seed in task] for task in sent] == layout
+        assert pooled == run_experiment(config)
 
     def test_single_job_runs_without_a_pool(self, no_pool_yet, monkeypatch):
         def no_pool(**kwargs):

@@ -1,23 +1,24 @@
-"""Lockstep runs: ``run_many`` gives each seed's ``run``, bit for bit."""
+"""Lockstep runs: ``run_many`` gives each run's ``run``, bit for bit."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from codoa import engine, lockstep
 from codoa.benchmarks import REGISTRY, make_problem
 from codoa.engine import IR_FLOOR, AlgorithmParams, ConfigurationError, run
-from codoa.lockstep import run_many
+from codoa.lockstep import MIN_STACK, run_many
 
 from support import box_problem
 
 
-def same_runs(params, problem, seeds):
+def same_runs(params, runs):
     """``run_many``'s results equal the solo runs', down to each float's bits and sign."""
-    many = run_many(params, problem, seeds)
-    solo = [run(params, problem, seed) for seed in seeds]
+    many = run_many(params, runs)
+    solo = [run(params, problem, seed) for problem, seed in runs]
     assert many == solo
     assert repr(many) == repr(solo)  # repr tells -0.0 from 0.0
 
@@ -33,9 +34,19 @@ def unruly(x):
 
 unruly.batch = lambda points: np.array([unruly(x) for x in points])
 
+UNRULY = box_problem([-1.0, -1.0], [1.0, 1.0], unruly)
+UNRULY_ROWS = box_problem([-1.0, -1.0], [1.0, 1.0], lambda x: unruly(x))  # rows one by one
 PROBLEMS = [make_problem(name, REGISTRY[name].fixed_dimension or 4) for name in sorted(REGISTRY)]
-PROBLEMS += [box_problem([-1.0, -1.0], [1.0, 1.0], unruly),
-             box_problem([-1.0, -1.0], [1.0, 1.0], lambda x: unruly(x))]  # rows one by one
+PROBLEMS += [UNRULY, UNRULY_ROWS]
+
+BOOTH = make_problem("booth")
+TABLE2_D2 = {name: make_problem(name, 2) for name in (
+    "booth", "beale", "goldstein_price", "mccormick", "three_hump_camel", "sphere", "rosenbrock")}
+SPHERE3 = make_problem("sphere", 3)
+# table2's seven problems of dimension 2, booth twice over (two problems built from one
+# name), an evaluator without ``batch`` and one that gives NaN and inf; and one problem of
+# dimension 3, which stacks apart from them
+MIXED = [BOOTH, *TABLE2_D2.values(), UNRULY, UNRULY_ROWS, SPHERE3]
 
 
 @st.composite
@@ -62,44 +73,137 @@ def test_run_many_equals_a_run_per_seed(num_particles, max_iterations, rationali
     params = AlgorithmParams(num_particles=num_particles, max_iterations=max_iterations,
                              initial_ir=ir[0], max_ir=ir[1],
                              rationality_rate=rationality_rate, maturity_limit=maturity_limit)
-    same_runs(params, problem, seeds)
+    same_runs(params, [(problem, seed) for seed in seeds])
+
+
+# at 12 particles booth seeds 0, 1 and 2 collapse at iterations 218, 228 and 251, and
+# the stack of six goes on with three; the two sphere-3 swarms never stack
+@example(num_particles=12, max_iterations=300, runs=[
+    (BOOTH, 0), (TABLE2_D2["beale"], 1), (BOOTH, 1), (TABLE2_D2["booth"], 2),
+    (TABLE2_D2["goldstein_price"], 1), (UNRULY_ROWS, 2), (SPHERE3, 1), (SPHERE3, 2),
+])
+@given(
+    num_particles=st.integers(2, 8),
+    max_iterations=st.integers(0, 120),
+    runs=st.lists(st.tuples(st.sampled_from(MIXED), st.integers(0, 2**32)), max_size=9),
+)
+@settings(max_examples=60, deadline=None)
+def test_run_many_of_mixed_problems_equals_a_run_each(num_particles, max_iterations, runs):
+    params = AlgorithmParams(num_particles=num_particles, max_iterations=max_iterations)
+    same_runs(params, runs)
 
 
 def test_seeds_that_collapse_at_different_iterations_leave_the_stack_one_by_one(monkeypatch):
     forwarded = []
 
     def fast_forward(state, iterations):
-        forwarded.append(iterations)
+        forwarded.append((state.rng.seed, iterations))
         original(state, iterations)
 
     original = engine.fast_forward
     monkeypatch.setattr(engine, "fast_forward", fast_forward)
     params = AlgorithmParams(max_iterations=400)
-    run_many(params, make_problem("booth"), [1, 2, 3, 4])
-    assert len(set(forwarded)) == 4  # four booth swarms, four collapse iterations
+    # the four booth swarms share a stack with a beale and a sphere swarm
+    runs = [(BOOTH, 1), (TABLE2_D2["beale"], 5), (BOOTH, 2), (TABLE2_D2["sphere"], 6), (BOOTH, 3),
+            (BOOTH, 4)]
+    run_many(params, runs)
+    booth = dict(item for item in forwarded if item[0] <= 4)
+    assert len(booth) == 4 and len(set(booth.values())) == 4  # four collapse iterations
     monkeypatch.undo()
-    same_runs(params, make_problem("booth"), [1, 2, 3, 4])
+    same_runs(params, runs)
+
+
+def corner(x):
+    """Least at the box's lower corner, where swarms collapse within a few iterations."""
+    return float(x[0] + x[1])
+
+
+corner.batch = lambda points: points[:, 0] + points[:, 1]
+
+
+def test_each_swarm_collapses_against_its_own_problems_box(monkeypatch):
+    forwarded = []
+
+    def fast_forward(state, iterations):
+        forwarded.append(state.rng.seed)
+        original(state, iterations)
+
+    original = engine.fast_forward
+    monkeypatch.setattr(engine, "fast_forward", fast_forward)
+    params = AlgorithmParams(num_particles=6, max_iterations=60)
+    # (-1, -1), where the corner swarms collapse, lies outside the first problem's box
+    inner = box_problem([0.0, 0.0], [2.0, 2.0], lambda x: float(np.square(x - 1.0).sum()))
+    outer = box_problem([-1.0, -1.0], [1.0, 1.0], corner)
+    runs = [(inner, 10), (inner, 11), (outer, 0), (outer, 1), (outer, 4)]
+    run_many(params, runs)
+    assert {0, 1, 4} <= set(forwarded)
+    monkeypatch.undo()
+    same_runs(params, runs)
 
 
 def test_repeated_seeds_and_order_are_kept():
-    same_runs(AlgorithmParams(num_particles=6, max_iterations=40), make_problem("sphere", 3),
-              [5, 2, 5, 0])
+    same_runs(AlgorithmParams(num_particles=6, max_iterations=40),
+              [(SPHERE3, 5), (BOOTH, 2), (SPHERE3, 2), (BOOTH, 5), (SPHERE3, 5), (SPHERE3, 0)])
 
 
-def test_no_seeds_make_no_runs():
-    assert run_many(AlgorithmParams(), make_problem("booth"), []) == []
+def test_no_runs_make_no_results():
+    assert run_many(AlgorithmParams(), []) == []
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True])
 def test_a_bad_seed_is_rejected(seed):
     with pytest.raises(ConfigurationError, match="seed"):
-        run_many(AlgorithmParams(max_iterations=5), make_problem("booth"), [1, seed])
+        run_many(AlgorithmParams(max_iterations=5), [(BOOTH, 1), (BOOTH, seed)])
 
 
 def test_a_bad_evaluator_result_is_rejected_naming_it():
     problem = box_problem([-1.0, -1.0], [1.0, 1.0], lambda x: "7")
     with pytest.raises(ConfigurationError, match=r"evaluator must give one real number"):
-        run_many(AlgorithmParams(num_particles=4, max_iterations=5), problem, [1, 2])
+        run_many(AlgorithmParams(num_particles=4, max_iterations=5),
+                 [(problem, 1), (problem, 2), (problem, 3)])
+
+
+class CountedBatch:
+    """An evaluator whose ``batch`` counts its calls and the rows they pass."""
+
+    def __init__(self, evaluator):
+        self.evaluator, self.calls, self.rows = evaluator, 0, 0
+
+    def __call__(self, x):
+        return self.evaluator(x)
+
+    def batch(self, points):
+        self.calls += 1
+        self.rows += len(points)
+        return self.evaluator.batch(points)
+
+
+def test_a_move_makes_one_objective_call_per_problem_it_moves(monkeypatch):
+    problems = [dataclasses.replace(make_problem(name, 2), evaluator=CountedBatch(
+        make_problem(name, 2).evaluator)) for name in ("sphere", "beale", "rosenbrock")]
+    calls = lambda: [p.evaluator.calls for p in problems]  # noqa: E731
+    moves = []
+
+    def move(stack, mask):
+        before = calls()
+        original(stack, mask)
+        moved = {stack.swarms[r][0] for r in stack.swarm_of[mask].tolist()}
+        moves.append(([after - b for after, b in zip(calls(), before)],
+                      [int(p in moved) for p in problems]))
+
+    original = lockstep._Stack.move
+    monkeypatch.setattr(lockstep._Stack, "move", move)
+    monkeypatch.setattr(engine, "fast_forward", lambda *args: pytest.fail("a swarm collapsed"))
+    params = AlgorithmParams(num_particles=5, max_iterations=30)
+    runs = [(problem, seed) for problem in problems for seed in (1, 2)]
+    results = run_many(params, runs)
+    assert len(moves) >= 2 * params.max_iterations  # every move of the budget is stacked
+    for made, moved in moves:
+        assert made == moved  # one call for each problem with rows in the move, none else
+    # initialize's calls and the moves' calls pass every evaluation, and nothing else
+    assert sum(p.evaluator.rows for p in problems) == sum(r.eval_count for r in results)
+    monkeypatch.undo()
+    same_runs(params, runs)
 
 
 def flat(x):
@@ -121,28 +225,32 @@ def test_swarms_that_go_flat_without_collapsing_stay_on_one_stack(monkeypatch):
     monkeypatch.setattr(lockstep._Stack, "__init__", init)
     monkeypatch.setattr(engine, "fast_forward", lambda *args: forwarded.append(args))
     params = AlgorithmParams(num_particles=6, max_iterations=30)
-    problem = box_problem([-1.0, -1.0], [1.0, 1.0], flat)
-    run_many(params, problem, [1, 2, 3])
+    runs = [(box_problem([-1.0, -1.0], [1.0, 1.0], flat), seed) for seed in (1, 2, 3)]
+    run_many(params, runs)
     # every fitness equals each swarm's best from the first iteration on, yet none collapses
     assert (len(stacks), forwarded) == (1, [])
     monkeypatch.undo()
-    same_runs(params, problem, [1, 2, 3])
+    same_runs(params, runs)
 
 
-def test_the_last_running_seed_finishes_on_runs_own_loop(monkeypatch):
+def test_swarms_fewer_than_min_stack_finish_on_runs_own_loop(monkeypatch):
     finished = []
 
     def finish(state, params, problem, done):
-        finished.append((state.rng.seed, done))
+        finished.append((problem, state.rng.seed, done))
         original(state, params, problem, done)
 
     original = engine.finish
     monkeypatch.setattr(engine, "finish", finish)
     params = AlgorithmParams(max_iterations=300)
-    run_many(params, make_problem("booth"), [1, 2])
-    run_many(params, make_problem("booth"), [7])
-    (seed, done), single = finished
-    assert seed in (1, 2) and 0 < done < 300  # the other seed collapsed at iteration `done`
-    assert single == (7, 0)
+    runs = [(BOOTH, 1), (BOOTH, 2), (BOOTH, 3), (TABLE2_D2["sphere"], 7), (SPHERE3, 7)]
+    run_many(params, runs)
+    assert MIN_STACK == 3
+    # of the four swarms at dimension 2, the first booth swarm to collapse leaves three,
+    # the second two, which finish from there; then the sphere-3 swarm, alone at its own
+    *pair, alone = finished
+    assert alone == (SPHERE3, 7, 0)
+    assert len(pair) == 2 and pair[0][2] == pair[1][2] and 0 < pair[0][2] < 300
+    assert {(problem, seed) for problem, seed, _ in pair} < set(runs[:4])
     monkeypatch.undo()
-    same_runs(params, make_problem("booth"), [1, 2])
+    same_runs(params, runs)
