@@ -2,9 +2,7 @@
 
 Runs are reproducible: run ``k`` of every entry uses ``base_seed + k``, so
 per-entry results are independent of entry order and of the execution
-schedule, pooled calls included, which send each worker one task of seed
-chunks and run that task's runs of one dimension in lockstep (see
-``codoa.lockstep``).  Reports carry
+schedule, serial or pooled (see ``run_experiment``).  Reports carry
 best/worst/mean/median plus the sample standard deviation (n - 1
 denominator).
 """
@@ -135,15 +133,15 @@ if hasattr(os, "register_at_fork"):  # absent where there is no fork
     os.register_at_fork(after_in_child=_forget_pool_in_child)
 
 
-def _pool_map(params: AlgorithmParams, tasks: list, processes: int) -> list:
-    """``codoa.lockstep.run_many(params, runs)`` for the ``(problem, seed)`` runs of
-    each task, in order, in the shared pool of ``processes``: one task per process.
+def _pool_map(params: AlgorithmParams, tasks: list) -> list:
+    """``codoa.lockstep.run_many(params, task)`` for each task, in order, in the
+    shared pool: one process per task.
 
     Each task is pickled, so its problems' evaluators must pickle.  The pool is
-    started on first use and kept for later calls.  A call that needs another
-    process count replaces it, and so does one that finds it broken as the tasks
-    are submitted (a worker died since the last call).  A call that fails while
-    its tasks run, or whose tasks do not pickle, drops the pool and raises.  Calls
+    started on first use and kept for later calls.  A call with another number of
+    tasks replaces it, and so does one that finds it broken as the tasks are
+    submitted (a worker died since the last call).  A call that fails while its
+    tasks run, or whose tasks do not pickle, drops the pool and raises.  Calls
     from other threads wait for the one running to finish.
     """
     global _pool
@@ -152,7 +150,8 @@ def _pool_map(params: AlgorithmParams, tasks: list, processes: int) -> list:
 
     from codoa.lockstep import run_many  # only where a pool runs it
 
-    columns = [params] * len(tasks), tasks
+    processes = len(tasks)
+    columns = [params] * processes, tasks
     with _pool_lock:
         if _pool is not None and _pool[0] != processes:
             _close_pool()
@@ -175,39 +174,32 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     """Execute every entry of the experiment and collect statistics.
 
     ``workers`` is an integer of at least 1.  Each entry's problem is built
-    once, and every run of the entry, serial or pooled, uses it.  At 1, each
-    run is one call of ``run`` on it.  Above 1, each entry's seeds are split
-    into ``min(workers, runs)`` contiguous chunks, one job each, and the jobs
-    are dealt round-robin into ``min(workers, jobs)`` tasks, one per process of
-    a pool that later calls needing as many processes reuse: task ``k`` holds
-    jobs ``k``, ``k + W``, ... (with as many chunks as workers, chunk ``k`` of
-    every entry).  A task runs its seeds by ``codoa.lockstep.run_many``, which
-    advances all its runs of one dimension in one lockstep stack, whatever
-    their entry, and gives each run's result bit for bit.  Results are put
-    back in (entry index, run index) order, so the report is identical to a
-    serial execution.
+    once, and the experiment's runs are one list of ``(problem, seed)`` pairs in
+    (entry, seed) order.  At 1 worker, each run is one call of ``run``.  Above
+    1, the runs are dealt into ``W = min(workers, runs)`` tasks, task ``k``
+    holding runs ``k``, ``k + W``, ..., so task sizes differ by at most one.
+    Each task is one process of a pool that later calls with as many tasks
+    reuse, and runs by ``codoa.lockstep.run_many``, which advances all its runs
+    of one dimension in one lockstep stack and gives each run's result bit for
+    bit.  Results go back to their runs' places, so the report is identical to
+    a serial execution.
     """
     workers = checked("workers", workers, "int")
     if workers < 1:
         raise ConfigurationError(f"workers must be at least 1, got {workers}")
     n = config.runs_per_entry
     seeds = range(config.base_seed, config.base_seed + n)
-    chunks = min(workers, n)
-    workers = min(workers, len(config.entries) * chunks)  # the pool starts them all at once
     problems = [make_problem(name, dim) for name, dim in config.entries]
+    runs = [(problem, seed) for problem in problems for seed in seeds]
+    workers = min(workers, len(runs))  # the pool starts them all at once
     if workers > 1:
-        # run i is seed i % n of entry i // n; a job is one entry's chunk of them
-        jobs = [range(e * n + k * n // chunks, e * n + (k + 1) * n // chunks)
-                for e in range(len(problems)) for k in range(chunks)]
-        tasks = [[i for job in jobs[k::workers] for i in job] for k in range(workers)]
-        runs = [[(problems[i // n], seeds[i % n]) for i in task] for task in tasks]
-        bests = [0.0] * (len(problems) * n)
-        for task, results in zip(tasks, _pool_map(config.params, runs, workers)):
-            for i, result in zip(task, results):
-                bests[i] = result.best_fitness
+        results = [None] * len(runs)
+        tasks = [runs[k::workers] for k in range(workers)]
+        for k, task_results in enumerate(_pool_map(config.params, tasks)):
+            results[k::workers] = task_results
     else:
-        bests = [run(config.params, problem, seed).best_fitness
-                 for problem in problems for seed in seeds]
+        results = [run(config.params, problem, seed) for problem, seed in runs]
+    bests = [result.best_fitness for result in results]
 
     entry_reports = []
     for idx, ((name, dim), problem) in enumerate(zip(config.entries, problems)):

@@ -44,7 +44,9 @@ LAMBDA_BOOTH = lambda pos: benchmarks.booth(float(pos[0]), float(pos[1]))  # noq
 
 # argv[1] is the start method; prints "equal" twice when pooled == serial, before and
 # after REGISTRY["booth"] is replaced by a spec with sphere's function.  At 2 workers the
-# second task holds two seeds of each entry: four swarms of dimension 2 on one stack
+# six runs are dealt alternately, so each task holds three swarms of dimension 2 on both
+# problems (booth seeds 1 and 3 with sphere seed 2; booth 2 with sphere 1 and 3), and
+# both tasks advance them on one mixed stack
 POOLED_EQUALS_SERIAL_SCRIPT = """
 import dataclasses
 import multiprocessing
@@ -190,7 +192,8 @@ class TestRunExperiment:
         for entry in forward.entries:
             assert by_name[entry.function] == entry
 
-    @pytest.mark.parametrize("runs", [3, 5])  # 5 runs at 2 workers: chunks of 2 and 3 seeds
+    # 5 runs at 2 workers: two tasks of 5 interleaved runs, 3 of one entry and 2 of the other
+    @pytest.mark.parametrize("runs", [3, 5])
     def test_worker_pool_matches_serial_execution(self, small_config, runs):
         config = dataclasses.replace(small_config, runs_per_entry=runs)
         assert run_experiment(config, workers=2) == run_experiment(config)
@@ -222,7 +225,7 @@ class TestRunExperiment:
             run_experiment(small_config, workers=workers)
 
     @pytest.mark.parametrize("workers, expected", [(2, 2), (7, 6)])
-    def test_pool_holds_at_most_one_process_per_job(self, small_config, no_pool_yet,
+    def test_pool_holds_at_most_one_process_per_run(self, small_config, no_pool_yet,
                                                      monkeypatch, workers, expected):
         sizes = []
 
@@ -238,10 +241,11 @@ class TestRunExperiment:
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         assert run_experiment(small_config, workers=workers) == run_experiment(small_config)
-        assert sizes == [expected]  # 2 entries x 3 runs: 6 jobs
+        assert sizes == [expected]  # 2 entries x 3 runs: 6 runs
 
     @pytest.mark.parametrize("entries, runs, workers, tasks", [
         (2, 3, 2, 2), (2, 3, 7, 6), (2, 5, 2, 2), (3, 1, 2, 2), (3, 1, 5, 3), (15, 2, 2, 2),
+        (15, 5, 2, 2), (15, 10, 3, 3),
     ])
     def test_a_pooled_call_sends_one_task_per_worker(self, tasks_sent, entries, runs, workers,
                                                      tasks):
@@ -249,14 +253,16 @@ class TestRunExperiment:
                                   params=AlgorithmParams(num_particles=4, max_iterations=2))
         assert run_experiment(config, workers=workers) == run_experiment(config)
         [sent] = tasks_sent
-        assert len(sent) == tasks == min(workers, entries * min(workers, runs))  # jobs: e * c
+        assert len(sent) == tasks == min(workers, entries * runs)
         assert sum(map(len, sent)) == entries * runs
+        assert max(map(len, sent)) - min(map(len, sent)) <= 1
 
     @pytest.mark.parametrize("entries, runs, layout", [
-        # uneven chunks: 5 seeds at 2 workers are chunks of 2 and 3, chunk k of each entry
+        # 5 seeds of two entries at 2 workers: runs 0, 2, 4, ... and 1, 3, 5, ... of the 10
+        # in (entry, seed) order
         ((("booth", 2), ("sphere", 3)), 5,
-         [[(0, 7), (0, 8), (1, 7), (1, 8)], [(0, 9), (0, 10), (0, 11), (1, 9), (1, 10), (1, 11)]]),
-        # one seed of three entries at 2 workers: jobs dealt round-robin
+         [[(0, 7), (0, 9), (0, 11), (1, 8), (1, 10)], [(0, 8), (0, 10), (1, 7), (1, 9), (1, 11)]]),
+        # one seed of three entries at 2 workers: runs dealt round-robin
         ((("booth", 2), ("sphere", 2), ("beale", 2)), 1, [[(0, 7), (2, 7)], [(1, 7)]]),
     ])
     def test_pooled_results_come_back_in_entry_and_seed_order(self, tasks_sent, monkeypatch,
@@ -278,7 +284,7 @@ class TestRunExperiment:
 
     def test_single_job_runs_without_a_pool(self, no_pool_yet, monkeypatch):
         def no_pool(**kwargs):
-            raise AssertionError("a pool was started for one job")
+            raise AssertionError("a pool was started for one run")
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         config = ExperimentConfig(entries=(("booth", 2),), runs_per_entry=1, params=SMALL_PARAMS)
