@@ -18,6 +18,7 @@ import statistics
 import sys
 import threading
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 from codoa.benchmarks import check_entry, make_problem
 from codoa.engine import AlgorithmParams, ConfigurationError, check_fields, checked, run
@@ -133,16 +134,17 @@ if hasattr(os, "register_at_fork"):  # absent where there is no fork
     os.register_at_fork(after_in_child=_forget_pool_in_child)
 
 
-def _pool_map(params: AlgorithmParams, tasks: list) -> list:
+def _pool_map(params: AlgorithmParams, tasks: list, processes: int) -> list:
     """``codoa.lockstep.run_many(params, task)`` for each task, in order, in the
-    shared pool: one process per task.
+    shared pool of ``processes`` processes.
 
-    Each task is pickled, so its problems' evaluators must pickle.  The pool is
-    started on first use and kept for later calls.  A call with another number of
-    tasks replaces it, and so does one that finds it broken as the tasks are
-    submitted (a worker died since the last call).  A call that fails while its
-    tasks run, or whose tasks do not pickle, drops the pool and raises.  Calls
-    from other threads wait for the one running to finish.
+    Every task is queued at once, and each process takes the next one as it
+    frees up.  Each task is pickled, so its problems' evaluators must pickle.
+    The pool is started on first use and kept for later calls.  A call with
+    another number of processes replaces it, and so does one that finds it
+    broken as the tasks are submitted (a worker died since the last call).  A
+    call that fails while its tasks run, or whose tasks do not pickle, drops the
+    pool and raises.  Calls from other threads wait for the one running to finish.
     """
     global _pool
     from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing: only here
@@ -150,8 +152,7 @@ def _pool_map(params: AlgorithmParams, tasks: list) -> list:
 
     from codoa.lockstep import run_many  # only where a pool runs it
 
-    processes = len(tasks)
-    columns = [params] * processes, tasks
+    columns = [params] * len(tasks), tasks
     with _pool_lock:
         if _pool is not None and _pool[0] != processes:
             _close_pool()
@@ -176,13 +177,16 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     ``workers`` is an integer of at least 1.  Each entry's problem is built
     once, and the experiment's runs are one list of ``(problem, seed)`` pairs in
     (entry, seed) order.  At 1 worker, each run is one call of ``run``.  Above
-    1, the runs are dealt into ``W = min(workers, runs)`` tasks, task ``k``
-    holding runs ``k``, ``k + W``, ..., so task sizes differ by at most one.
-    Each task is one process of a pool that later calls with as many tasks
-    reuse, and runs by ``codoa.lockstep.run_many``, which advances all its runs
-    of one dimension in one lockstep stack and gives each run's result bit for
-    bit.  Results go back to their runs' places, so the report is identical to
-    a serial execution.
+    1, with ``W = min(workers, runs)``, each task is the runs of one dimension,
+    which ``codoa.lockstep.run_many`` advances on one lockstep stack, giving
+    each run's result bit for bit.  With fewer dimensions than ``W``, each
+    dimension's runs are dealt alternately over ``ceil(W / dimensions)`` tasks,
+    so one entry's runs go out as runs 0, 2, 4, ... and 1, 3, 5, ... at 2
+    workers.  The tasks are queued largest first by runs x dimension, a proxy
+    for the rows a move evaluates, on a pool of ``min(W, tasks)`` processes that
+    later calls with as many processes reuse; each process takes the next task
+    as it frees up, so the load balances by cost.  Results go back to their
+    runs' places, so the report is identical to a serial execution.
     """
     workers = checked("workers", workers, "int")
     if workers < 1:
@@ -191,12 +195,19 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     seeds = range(config.base_seed, config.base_seed + n)
     problems = [make_problem(name, dim) for name, dim in config.entries]
     runs = [(problem, seed) for problem in problems for seed in seeds]
-    workers = min(workers, len(runs))  # the pool starts them all at once
+    workers = min(workers, len(runs))
     if workers > 1:
+        by_dimension = {}  # dimension -> the indices of its runs
+        for i, (problem, _) in enumerate(runs):
+            by_dimension.setdefault(problem.dimension, []).append(i)
+        share = math.ceil(workers / len(by_dimension))  # tasks per dimension
+        tasks = [ix[k::share] for ix in by_dimension.values() for k in range(min(share, len(ix)))]
+        tasks.sort(key=lambda ix: len(ix) * runs[ix[0]][0].dimension, reverse=True)  # stable
+        done = _pool_map(config.params, [[runs[i] for i in ix] for ix in tasks],
+                         min(workers, len(tasks)))
         results = [None] * len(runs)
-        tasks = [runs[k::workers] for k in range(workers)]
-        for k, task_results in enumerate(_pool_map(config.params, tasks)):
-            results[k::workers] = task_results
+        for i, result in zip(chain.from_iterable(tasks), chain.from_iterable(done)):
+            results[i] = result
     else:
         results = [run(config.params, problem, seed) for problem, seed in runs]
     bests = [result.best_fitness for result in results]

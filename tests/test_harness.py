@@ -16,7 +16,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from codoa import benchmarks, harness
 from codoa.benchmarks import REGISTRY, make_problem
@@ -42,11 +42,13 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
 # booth's row form as a module-level lambda: it runs, but pickle cannot find it by name
 LAMBDA_BOOTH = lambda pos: benchmarks.booth(float(pos[0]), float(pos[1]))  # noqa: E731
 
-# argv[1] is the start method; prints "equal" twice when pooled == serial, before and
-# after REGISTRY["booth"] is replaced by a spec with sphere's function.  At 2 workers the
-# six runs are dealt alternately, so each task holds three swarms of dimension 2 on both
-# problems (booth seeds 1 and 3 with sphere seed 2; booth 2 with sphere 1 and 3), and
-# both tasks advance them on one mixed stack
+# argv[1] is the start method; prints "equal" three times when pooled == serial: for
+# `mixed` before and after REGISTRY["booth"] is replaced by a spec with sphere's function,
+# and for `ladder`.  At 2 workers `mixed`'s six runs, all of dimension 2, are dealt
+# alternately, so each task holds three swarms on both problems (booth seeds 1 and 3 with
+# sphere seed 2; booth 2 with sphere 1 and 3), and both tasks advance them on one mixed
+# stack.  `ladder`'s three dimensions are three tasks, queued on the same pool of two
+# processes
 POOLED_EQUALS_SERIAL_SCRIPT = """
 import dataclasses
 import multiprocessing
@@ -63,11 +65,15 @@ def pooled_equals_serial(config):
 
 if __name__ == "__main__":
     multiprocessing.set_start_method(sys.argv[1])
-    config = ExperimentConfig(entries=(("booth", 2), ("sphere", 2)), runs_per_entry=3,
-                              params=AlgorithmParams(num_particles=4, max_iterations=8))
-    before = pooled_equals_serial(config)
+    params = AlgorithmParams(num_particles=4, max_iterations=8)
+    mixed = ExperimentConfig(entries=(("booth", 2), ("sphere", 2)), runs_per_entry=3,
+                             params=params)
+    ladder = ExperimentConfig(entries=(("booth", 2), ("sphere", 3), ("sphere", 5)),
+                              runs_per_entry=3, params=params)
+    before = pooled_equals_serial(mixed)
+    pooled_equals_serial(ladder)
     REGISTRY["booth"] = dataclasses.replace(REGISTRY["booth"], func=REGISTRY["sphere"].func)
-    assert pooled_equals_serial(config) != before
+    assert pooled_equals_serial(mixed) != before
 """
 
 
@@ -192,7 +198,7 @@ class TestRunExperiment:
         for entry in forward.entries:
             assert by_name[entry.function] == entry
 
-    # 5 runs at 2 workers: two tasks of 5 interleaved runs, 3 of one entry and 2 of the other
+    # at 2 workers: one task per entry, each its own dimension, sphere-3's first
     @pytest.mark.parametrize("runs", [3, 5])
     def test_worker_pool_matches_serial_execution(self, small_config, runs):
         config = dataclasses.replace(small_config, runs_per_entry=runs)
@@ -224,49 +230,93 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError, match="workers"):
             run_experiment(small_config, workers=workers)
 
-    @pytest.mark.parametrize("workers, expected", [(2, 2), (7, 6)])
+    @pytest.mark.parametrize("entries, workers, tasks, processes", [
+        ((("booth", 2), ("sphere", 3)), 2, 2, 2),
+        ((("booth", 2), ("sphere", 3)), 7, 6, 6),  # 2 entries x 3 runs: 6 runs
+        ((("booth", 2), ("sphere", 3), ("sphere", 5)), 2, 3, 2),  # more tasks than workers
+    ])
     def test_pool_holds_at_most_one_process_per_run(self, small_config, no_pool_yet,
-                                                     monkeypatch, workers, expected):
-        sizes = []
+                                                     monkeypatch, entries, workers, tasks,
+                                                     processes):
+        sizes, sent = [], []
 
         class SerialPool:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
             def map(self, fn, *iterables):
+                sent.append(len(iterables[1]))
                 return map(fn, *iterables)
 
             def shutdown(self, wait=True):
                 pass
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
-        assert run_experiment(small_config, workers=workers) == run_experiment(small_config)
-        assert sizes == [expected]  # 2 entries x 3 runs: 6 runs
+        config = dataclasses.replace(small_config, entries=entries)
+        assert run_experiment(config, workers=workers) == run_experiment(config)
+        assert (sent, sizes) == ([tasks], [processes])
 
-    @pytest.mark.parametrize("entries, runs, workers, tasks", [
-        (2, 3, 2, 2), (2, 3, 7, 6), (2, 5, 2, 2), (3, 1, 2, 2), (3, 1, 5, 3), (15, 2, 2, 2),
-        (15, 5, 2, 2), (15, 10, 3, 3),
+    @pytest.mark.parametrize("entries, runs, workers, shape, processes", [
+        # grid15: one task per dimension, largest runs x dimension first; d = 2 holds 14 runs
+        (table2_grid().entries, 2, 2, [(30, 4), (20, 4), (10, 4), (2, 14), (5, 4)], 2),
+        (table2_grid().entries, 1, 2, [(30, 2), (20, 2), (10, 2), (2, 7), (5, 2)], 2),
+        (table2_grid().entries, 5, 2, [(30, 10), (20, 10), (10, 10), (2, 35), (5, 10)], 2),
+        # booth-2 and sphere-3 at 7 workers: each entry's 3 runs over ceil(7 / 2) tasks
+        ((("booth", 2), ("sphere", 3)), 3, 7, [(3, 1)] * 3 + [(2, 1)] * 3, 6),
     ])
-    def test_a_pooled_call_sends_one_task_per_worker(self, tasks_sent, entries, runs, workers,
-                                                     tasks):
-        config = ExperimentConfig(entries=table2_grid().entries[:entries], runs_per_entry=runs,
+    def test_a_pooled_call_sends_one_task_per_dimension(self, tasks_sent, entries, runs, workers,
+                                                        shape, processes):
+        config = ExperimentConfig(entries=entries, runs_per_entry=runs,
                                   params=AlgorithmParams(num_particles=4, max_iterations=2))
         assert run_experiment(config, workers=workers) == run_experiment(config)
         [sent] = tasks_sent
-        assert len(sent) == tasks == min(workers, entries * runs)
-        assert sum(map(len, sent)) == entries * runs
-        assert max(map(len, sent)) - min(map(len, sent)) <= 1
+        assert [(task[0][0].dimension, len(task)) for task in sent] == shape
+        assert harness._pool[0] == processes
 
-    @pytest.mark.parametrize("entries, runs, layout", [
-        # 5 seeds of two entries at 2 workers: runs 0, 2, 4, ... and 1, 3, 5, ... of the 10
-        # in (entry, seed) order
-        ((("booth", 2), ("sphere", 3)), 5,
-         [[(0, 7), (0, 9), (0, 11), (1, 8), (1, 10)], [(0, 8), (0, 10), (1, 7), (1, 9), (1, 11)]]),
-        # one seed of three entries at 2 workers: runs dealt round-robin
-        ((("booth", 2), ("sphere", 2), ("beale", 2)), 1, [[(0, 7), (2, 7)], [(1, 7)]]),
+    @given(entries=st.lists(st.sampled_from(table2_grid().entries), min_size=1, max_size=15,
+                            unique=True),
+           runs=st.integers(1, 4), workers=st.integers(2, 5))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_pooled_tasks_partition_the_runs_by_dimension(self, tasks_sent, problems_built,
+                                                           entries, runs, workers):
+        config = ExperimentConfig(entries=tuple(entries), runs_per_entry=runs,
+                                  params=AlgorithmParams(num_particles=4, max_iterations=2))
+        calls, start = len(tasks_sent), len(problems_built)
+        pooled = run_experiment(config, workers=workers)
+        built = problems_built[start:start + len(entries)]
+        assert pooled == run_experiment(config)
+        if len(entries) * runs == 1:  # one run: no pool
+            assert len(tasks_sent) == calls
+            return
+        [sent] = tasks_sent[calls:]
+        entry = built.index  # problems compare by identity
+        dealt = sorted((entry(problem), seed) for task in sent for problem, seed in task)
+        assert dealt == [(k, seed) for k in range(len(entries)) for seed in range(1, runs + 1)]
+        dims = [{problem.dimension for problem, _ in task} for task in sent]
+        assert all(len(dim) == 1 for dim in dims)
+        assert harness._pool[0] == min(workers, len(sent))
+        costs = [len(task) * task[0][0].dimension for task in sent]
+        assert costs == sorted(costs, reverse=True)
+        share = -(-min(workers, len(entries) * runs) // len({dim for _, dim in entries}))
+        for (dim,) in map(tuple, dims):
+            runs_of_dim = runs * sum(d == dim for _, d in entries)
+            assert dims.count({dim}) == min(share, runs_of_dim)
+
+    @pytest.mark.parametrize("entries, runs, workers, layout", [
+        # one entry at 2 workers: runs[0::2] and runs[1::2], as booth2 and rosenbrock30 send
+        ((("booth", 2),), 6, 2, [[(0, 7), (0, 9), (0, 11)], [(0, 8), (0, 10), (0, 12)]]),
+        # two dimensions at 2 workers: one task each, sphere-3's 15 rows per swarm first
+        ((("booth", 2), ("sphere", 3)), 5, 2,
+         [[(1, 7), (1, 8), (1, 9), (1, 10), (1, 11)], [(0, 7), (0, 8), (0, 9), (0, 10), (0, 11)]]),
+        # two dimensions at 3 workers: each dimension's runs dealt alternately over 2 tasks
+        ((("booth", 2), ("sphere", 3), ("beale", 2)), 2, 3,
+         [[(0, 7), (2, 7)], [(0, 8), (2, 8)], [(1, 7)], [(1, 8)]]),
+        # one seed of three entries of one dimension at 2 workers: runs dealt alternately
+        ((("booth", 2), ("sphere", 2), ("beale", 2)), 1, 2, [[(0, 7), (2, 7)], [(1, 7)]]),
     ])
     def test_pooled_results_come_back_in_entry_and_seed_order(self, tasks_sent, monkeypatch,
-                                                              entries, runs, layout):
+                                                              entries, runs, workers, layout):
         built = []
 
         def recorded_make_problem(name, dim):
@@ -276,7 +326,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "make_problem", recorded_make_problem)
         config = ExperimentConfig(entries=entries, runs_per_entry=runs, base_seed=7,
                                   params=SMALL_PARAMS)
-        pooled = run_experiment(config, workers=2)
+        pooled = run_experiment(config, workers=workers)
         [sent] = tasks_sent
         entry = built.index  # problems compare by identity
         assert [[(entry(problem), seed) for problem, seed in task] for task in sent] == layout
@@ -294,6 +344,23 @@ class TestRunExperiment:
         serial = run_experiment(small_config)
         assert run_experiment(small_config, workers=2) == serial
         assert run_experiment(small_config, workers=2) == serial
+        assert len(pools_made) == 1
+
+    def test_calls_with_different_task_counts_share_one_pool(self, pools_made, monkeypatch):
+        one_dimension = ExperimentConfig(entries=(("booth", 2),), runs_per_entry=4,
+                                         params=SMALL_PARAMS)
+        three_dimensions = ExperimentConfig(entries=(("booth", 2), ("sphere", 3), ("sphere", 5)),
+                                            runs_per_entry=2, params=SMALL_PARAMS)
+        calls, pool_map = [], harness._pool_map
+
+        def recorded_pool_map(params, tasks, processes):
+            calls.append((len(tasks), processes))
+            return pool_map(params, tasks, processes)
+
+        monkeypatch.setattr(harness, "_pool_map", recorded_pool_map)
+        for config in (one_dimension, three_dimensions):
+            assert run_experiment(config, workers=2) == run_experiment(config)
+        assert calls == [(2, 2), (3, 2)]
         assert len(pools_made) == 1
 
     def test_another_process_count_replaces_the_pool(self, small_config, pools_made):
@@ -427,7 +494,7 @@ class TestRunExperiment:
                               env=dict(os.environ, PYTHONPATH=SRC),
                               capture_output=True, text=True, timeout=300)
         assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout.split() == ["equal", "equal"]
+        assert done.stdout.split() == ["equal"] * 3
 
     def test_evaluator_that_does_not_pickle_fails_the_pooled_call_and_drops_the_pool(
             self, small_config, no_pool_yet, monkeypatch):
