@@ -47,31 +47,43 @@ from codoa.rng import RandomStream
 
 
 IR_FLOOR = 1e-6  # the least interactivity: positive, so that ratios of it stay finite
+# the most uniforms one step of a run draws (n x d to scatter or move, n x rationality_rate
+# to rationalize): 40 MB of them, as a 50-particle swarm at benchmarks.MAX_DIMENSION holds
+MAX_DRAW = 5_000_000
 
 
 class ConfigurationError(ValueError):
     """Invalid algorithm parameters, problem description, or experiment setup."""
 
 
-def checked(name: str, value, kind: str):
+def checked(name: str, value, kind: str, least=None, most=None):
     """``value`` as an ``int`` setting (a real integer, returned as ``int``) or a
-    ``float`` one (a finite real); bools are neither, other kinds pass unchecked."""
+    ``float`` one (a finite real), from ``least`` to ``most`` where given; bools are
+    neither, and other kinds pass unchecked."""
     if kind == "int":
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        return int(value)
+        value = int(value)
     # compared, not math.isfinite(): that raises OverflowError on a huge int
-    if kind == "float" and (isinstance(value, bool) or not (
+    elif kind == "float" and (isinstance(value, bool) or not (
         isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
     )):
         raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigurationError(f"{name} must be at least {least}, got {value}")
+    if most is not None and value > most:
+        raise ConfigurationError(f"{name} must be at most {most}, got {value}")
     return value
 
 
-def check_fields(obj) -> None:
-    """Apply :func:`checked` to every field of a frozen dataclass, by its annotation."""
+def check_fields(obj, **bounds) -> None:
+    """Apply :func:`checked` to every field of a frozen dataclass, by its annotation, with
+    the least value, or the ``(least, most)`` pair, that ``bounds`` gives under its name."""
     for f in fields(obj):
-        object.__setattr__(obj, f.name, checked(f.name, getattr(obj, f.name), f.type))
+        least, most = bounds.get(f.name), None
+        if isinstance(least, tuple):
+            least, most = least
+        object.__setattr__(obj, f.name, checked(f.name, getattr(obj, f.name), f.type, least, most))
 
 
 @dataclass(frozen=True)
@@ -86,24 +98,13 @@ class AlgorithmParams:
     rationality_rate: int = 2
 
     def __post_init__(self) -> None:
-        check_fields(self)
-        if self.num_particles < 2:
-            raise ConfigurationError(
-                f"num_particles must be at least 2, got {self.num_particles}"
-            )
-        if self.max_iterations < 0:
-            raise ConfigurationError(
-                f"max_iterations must be non-negative, got {self.max_iterations}"
-            )
-        if not IR_FLOOR <= self.initial_ir <= self.max_ir:
-            raise ConfigurationError(
-                f"interactivity bounds must satisfy IR_FLOOR ({IR_FLOOR:g}) <= initial_ir <= "
-                f"max_ir, got initial_ir={self.initial_ir}, max_ir={self.max_ir}"
-            )
-        if self.rationality_rate < 0:
-            raise ConfigurationError(
-                f"rationality_rate must be non-negative, got {self.rationality_rate}"
-            )
+        check_fields(self, num_particles=(2, MAX_DRAW), max_iterations=0, initial_ir=IR_FLOOR,
+                     rationality_rate=0)
+        if self.initial_ir > self.max_ir:
+            raise ConfigurationError(f"initial_ir must be at most max_ir ({self.max_ir}), "
+                                     f"got {self.initial_ir}")
+        checked("rationality_rate * num_particles", self.rationality_rate * self.num_particles,
+                "int", most=MAX_DRAW)
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,13 +354,12 @@ def balancing(state: SwarmState, params: AlgorithmParams) -> None:
 def initialize(params: AlgorithmParams, problem: ObjectiveProblem, seed: int) -> SwarmState:
     """Scatter particles uniformly in the box, evaluate them, reward the best.
 
-    ``seed`` is a non-negative integer.
+    ``seed`` is a non-negative integer, and the swarm at most ``MAX_DRAW`` coordinates.
     """
-    seed = checked("seed", seed, "int")
-    if seed < 0:
-        raise ConfigurationError(f"seed must be non-negative, got {seed}")
-    rng = RandomStream(seed)
+    seed = checked("seed", seed, "int", least=0)
     n, d = params.num_particles, problem.dimension
+    checked("num_particles * dimension", n * d, "int", most=MAX_DRAW)
+    rng = RandomStream(seed)
     lower = problem.lower_bounds
     span = problem.upper_bounds - lower
     state = SwarmState(

@@ -27,6 +27,13 @@ TABLE2_DIMENSIONS = (2, 5, 10, 20, 30)
 
 REPORT_FORMATS = ("csv", "json")
 
+# an experiment holds every run's RunResult until it reports, 40-150 KB each at the reference
+# 5,000 iterations: 1,000 runs of one entry hold up to 150 MB
+MAX_RUNS = 1_000
+# one experiment's worker processes, each with its own numpy (about 30 MB); a constant, not
+# the host's core count, so that a config valid on one machine is valid on every one
+MAX_WORKERS = 64
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -38,7 +45,7 @@ class ExperimentConfig:
     params: AlgorithmParams = AlgorithmParams()
 
     def __post_init__(self) -> None:
-        check_fields(self)
+        check_fields(self, runs_per_entry=(1, MAX_RUNS), base_seed=0)
         try:  # builds no problem; a ConfigurationError is a ValueError
             entries = tuple((str(name), check_entry(name, dim)[1]) for name, dim in self.entries)
         except (TypeError, ValueError) as exc:
@@ -48,12 +55,6 @@ class ExperimentConfig:
         if not entries:
             raise ConfigurationError("entries must hold at least one (function, dimension) pair")
         object.__setattr__(self, "entries", entries)
-        if self.runs_per_entry < 1:
-            raise ConfigurationError(
-                f"runs_per_entry must be positive, got {self.runs_per_entry}"
-            )
-        if self.base_seed < 0:
-            raise ConfigurationError(f"base_seed must be non-negative, got {self.base_seed}")
         if not isinstance(self.params, AlgorithmParams):
             raise ConfigurationError(f"params must be an AlgorithmParams, got {self.params!r}")
 
@@ -174,7 +175,7 @@ def _pool_map(params: AlgorithmParams, tasks: list, processes: int) -> list:
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     """Execute every entry of the experiment and collect statistics.
 
-    ``workers`` is an integer of at least 1.  Each entry's problem is built
+    ``workers`` is an integer from 1 to ``MAX_WORKERS``.  Each entry's problem is built
     once, and the experiment's runs are one list of ``(problem, seed)`` pairs in
     (entry, seed) order.  At 1 worker, each run is one call of ``run``.  Above
     1, with ``W = min(workers, runs)``, each task is the runs of one dimension,
@@ -188,9 +189,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     as it frees up, so the load balances by cost.  Results go back to their
     runs' places, so the report is identical to a serial execution.
     """
-    workers = checked("workers", workers, "int")
-    if workers < 1:
-        raise ConfigurationError(f"workers must be at least 1, got {workers}")
+    workers = checked("workers", workers, "int", least=1, most=MAX_WORKERS)
     n = config.runs_per_entry
     seeds = range(config.base_seed, config.base_seed + n)
     problems = [make_problem(name, dim) for name, dim in config.entries]

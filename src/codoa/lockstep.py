@@ -3,13 +3,14 @@
 ``run_many(params, runs)`` gives ``[run(params, problem, seed) for problem,
 seed in runs]``, bit for bit, at a lower cost per run: at small swarms most of
 the engine's cost is per-call overhead, which one set of array calls over the
-stacked swarms shares.  Every run of one dimension goes on one stack, whatever
-its problem, with each problem's swarms side by side, so that a move steps and
-evaluates each problem's rows in one :func:`engine.step` and one
-:func:`engine.fitness_of` call.  Each swarm is built by
-:func:`engine.initialize` and keeps its own random stream, drawn in the order
-``run`` draws it.  A swarm that has :func:`engine.collapsed` onto its own
-problem's best leaves the stack through :func:`engine.fast_forward`.
+stacked swarms shares.  The runs must all be of one dimension, and go on one
+stack whatever their problems: a move steps and evaluates the rows of each
+stretch of adjacent swarms on one problem in one :func:`engine.step` and one
+:func:`engine.fitness_of` call, so each problem's runs cost least side by side.
+Each swarm is built by :func:`engine.initialize` and keeps its own random
+stream, drawn in the order ``run`` draws it.  A swarm that has
+:func:`engine.collapsed` onto its own problem's best leaves the stack through
+:func:`engine.fast_forward`.
 
 A stack advances only while it holds at least ``MIN_STACK`` swarms; the rest
 finish on ``run``'s own loop, :func:`engine.finish`.  At 50 particles a stack of
@@ -31,28 +32,24 @@ MIN_STACK = 3  # the fewest swarms a stack advances; fewer finish one by one
 
 
 def run_many(params: AlgorithmParams, runs) -> list[RunResult]:
-    """``[run(params, problem, seed) for problem, seed in runs]``, the runs of each
-    dimension in lockstep."""
+    """``[run(params, problem, seed) for problem, seed in runs]``, for runs of one
+    dimension, on one lockstep stack."""
     runs = list(runs)
     states = [engine.initialize(params, problem, seed) for problem, seed in runs]
-    stacks = {}  # dimension -> problem -> its swarms, in order of first appearance
-    for (problem, _), state in zip(runs, states):
-        stacks.setdefault(problem.dimension, {}).setdefault(problem, []).append(state)
-    for by_problem in stacks.values():
-        running = [(problem, s) for problem, swarms in by_problem.items() for s in swarms]
-        done = 0
-        while len(running) >= MIN_STACK and done < params.max_iterations:
-            running, done = _Stack(params, running).advance(done)
-        for problem, state in running:  # too few to stack, or at the end of the budget
-            engine.finish(state, params, problem, done)
+    running = [(problem, state) for (problem, _), state in zip(runs, states)]
+    done = 0
+    while len(running) >= MIN_STACK and done < params.max_iterations:
+        running, done = _Stack(params, running).advance(done)
+    for problem, state in running:  # too few to stack, or at the end of the budget
+        engine.finish(state, params, problem, done)
     return [engine.result(state) for state in states]
 
 
 class _Stack:
-    """The ``(problem, state)`` pairs of ``swarms``, one dimension and each problem's
-    swarms adjacent, as flat arrays: rows ``r * N`` to ``r * N + N - 1`` of ``pos``,
-    ``fit``, ``ir`` and ``ex`` are swarm ``r``'s particles, and ``best_pos``,
-    ``best_fit``, ``holder`` and ``evals`` hold one entry per swarm.
+    """The ``(problem, state)`` pairs of ``swarms``, all of one dimension, as flat
+    arrays: rows ``r * N`` to ``r * N + N - 1`` of ``pos``, ``fit``, ``ir`` and ``ex``
+    are swarm ``r``'s particles, and ``best_pos``, ``best_fit``, ``holder`` and
+    ``evals`` hold one entry per swarm.
     """
 
     def __init__(self, params: AlgorithmParams, swarms) -> None:
@@ -71,7 +68,8 @@ class _Stack:
         self.first = np.arange(len(states)) * n  # row of each swarm's particle 0
         self.swarm_of = np.repeat(np.arange(len(states)), n)
         self.everyone = np.ones(len(states) * n, dtype=bool)
-        # each problem once (problems compare by identity), and the row after its swarms
+        # the problem of each stretch of adjacent swarms on one, and the row after it
+        # (problems compare by identity)
         adjacent = groupby(problem for problem, _ in swarms)
         groups = [(problem, len(list(group))) for problem, group in adjacent]
         self.problems = [problem for problem, _ in groups]

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from codoa import engine
 from codoa.benchmarks import REGISTRY
 from codoa.cli import _PARAM_FLAGS, UsageError, main, parse_args
 from codoa.engine import AlgorithmParams
@@ -92,6 +93,24 @@ class TestExitCodes:
     def test_zero_workers_exits_one_and_names_the_field(self, subcommand, capsys):
         assert main(subcommand + ["--workers", "0"]) == 1
         assert "workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--particles", "1000000000000000"], "num_particles must be at most 5000000"),
+        (["--particles", "2", "--rationality", "1000000000000000"],
+         "rationality_rate * num_particles must be at most 5000000"),
+        (["--function", "sphere", "--dims", "100", "--particles", "50001"],
+         "num_particles * dimension must be at most 5000000"),
+        (["--runs", "1001"], "runs_per_entry must be at most 1000"),
+        (["--runs", "2", "--workers", "65"], "workers must be at most 64"),
+    ])
+    def test_a_size_past_its_bound_exits_one_naming_the_field_before_anything_is_drawn(
+            self, flags, error, monkeypatch, capsys):
+        monkeypatch.setattr(engine, "RandomStream", lambda seed: pytest.fail("a stream began"))
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            lambda max_workers: pytest.fail("a pool was started"))
+        args = ["run", "--function", "booth", "--iterations", "1", "--runs", "1", *flags]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith(f"error: {error}, got ")
 
     def test_interrupt_exits_one_and_leaves_no_report(self, tmp_path, monkeypatch, capsys):
         def interrupted(config, workers):

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codoa.benchmarks import REGISTRY, make_problem
+from codoa import engine
+from codoa.benchmarks import MAX_DIMENSION, REGISTRY, make_problem
 from codoa.engine import (
     IR_FLOOR,
+    MAX_DRAW,
     AlgorithmParams,
     ConfigurationError,
     ObjectiveProblem,
@@ -49,6 +51,8 @@ class TestAlgorithmParams:
             {"initial_ir": -0.1},
             {"initial_ir": 20.0},  # above max_ir
             {"initial_ir": 5e-7, "max_ir": 5e-7},
+            {"initial_ir": math.nextafter(IR_FLOOR, 0.0)},  # one step below IR_FLOOR
+            {"initial_ir": math.nextafter(10.0, math.inf)},  # one step above max_ir
         ],
     )
     def test_rejects_bad_interactivity_ordering(self, kwargs):
@@ -64,6 +68,21 @@ class TestAlgorithmParams:
     def test_rejects_negative_rationality(self):
         with pytest.raises(ConfigurationError, match="rationality"):
             AlgorithmParams(rationality_rate=-1)
+
+    @pytest.mark.parametrize("field, at, past, kwargs", [
+        ("num_particles", 2, 1, {}),
+        ("num_particles", MAX_DRAW, MAX_DRAW + 1, {"rationality_rate": 1}),
+        ("max_iterations", 0, -1, {}),
+        ("initial_ir", IR_FLOOR, math.nextafter(IR_FLOOR, 0.0), {}),
+        ("rationality_rate", 0, -1, {}),
+        # 50 particles: the product with num_particles is at MAX_DRAW, then past it
+        ("rationality_rate", MAX_DRAW // 50, MAX_DRAW // 50 + 1, {}),
+    ])
+    def test_a_bounded_field_is_accepted_at_its_bound_and_rejected_one_step_past(
+            self, field, at, past, kwargs):
+        assert getattr(AlgorithmParams(**kwargs, **{field: at}), field) == at
+        with pytest.raises(ConfigurationError, match=f"^{field}"):
+            AlgorithmParams(**kwargs, **{field: past})
 
     def test_maturity_limit_may_be_negative(self):
         assert AlgorithmParams(maturity_limit=-5).maturity_limit == -5
@@ -411,6 +430,19 @@ class TestInitialize:
         assert np.all(state.pos >= -10.0) and np.all(state.pos <= 10.0)
         assert state.fit.tolist() == [problem.evaluator(x) for x in state.pos]
         assert state.eval_count == 50
+
+    def test_a_swarm_past_max_draw_coordinates_is_rejected_before_anything_is_drawn(
+            self, monkeypatch):
+        # the reference swarm at MAX_DIMENSION is the largest drawn
+        state = initialize(AlgorithmParams(), make_problem("sphere", MAX_DIMENSION), seed=0)
+        assert state.pos.shape == (50, MAX_DIMENSION) and state.pos.size == MAX_DRAW
+        monkeypatch.setattr(engine, "RandomStream", lambda seed: pytest.fail("a stream began"))
+        for params, problem in [
+            (AlgorithmParams(num_particles=51), make_problem("sphere", MAX_DIMENSION)),
+            (AlgorithmParams(num_particles=MAX_DRAW, rationality_rate=0), make_problem("booth")),
+        ]:
+            with pytest.raises(ConfigurationError, match=r"^num_particles \* dimension"):
+                initialize(params, problem, seed=0)
 
     def test_initial_archive_is_swarm_minimum(self):
         state = initialize(AlgorithmParams(num_particles=20, max_iterations=1),

@@ -23,6 +23,8 @@ from codoa.benchmarks import REGISTRY, make_problem
 from codoa.cli import main
 from codoa.engine import AlgorithmParams, ConfigurationError, ObjectiveProblem, run
 from codoa.harness import (
+    MAX_RUNS,
+    MAX_WORKERS,
     ExperimentConfig,
     RunStatistics,
     report_to_dict,
@@ -127,6 +129,13 @@ def tasks_sent(no_pool_yet, monkeypatch):
 
 
 @pytest.fixture()
+def pool_forbidden(no_pool_yet, monkeypatch):
+    """An executor that fails the test if it is ever constructed."""
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        lambda max_workers: pytest.fail(f"a pool of {max_workers} was started"))
+
+
+@pytest.fixture()
 def problems_built(monkeypatch):
     """Every ObjectiveProblem this process constructs, in order."""
     built, post_init = [], ObjectiveProblem.__post_init__
@@ -225,8 +234,9 @@ class TestRunExperiment:
         assert runs == [(problem, seed) for _, _, problem in problems for seed in (7, 8, 9)]
         assert report == run_experiment(small_config)
 
-    @pytest.mark.parametrize("workers", [2.5, "2", 0, -1, True, None])
-    def test_rejects_bad_worker_counts_naming_the_field(self, small_config, workers):
+    @pytest.mark.parametrize("workers", [2.5, "2", 0, -1, True, None, MAX_WORKERS + 1])
+    def test_rejects_bad_worker_counts_naming_the_field(self, small_config, pool_forbidden,
+                                                        workers):
         with pytest.raises(ConfigurationError, match="workers"):
             run_experiment(small_config, workers=workers)
 
@@ -263,6 +273,7 @@ class TestRunExperiment:
         (table2_grid().entries, 5, 2, [(30, 10), (20, 10), (10, 10), (2, 35), (5, 10)], 2),
         # booth-2 and sphere-3 at 7 workers: each entry's 3 runs over ceil(7 / 2) tasks
         ((("booth", 2), ("sphere", 3)), 3, 7, [(3, 1)] * 3 + [(2, 1)] * 3, 6),
+        ((("booth", 2), ("sphere", 3)), 3, MAX_WORKERS, [(3, 1)] * 3 + [(2, 1)] * 3, 6),
     ])
     def test_a_pooled_call_sends_one_task_per_dimension(self, tasks_sent, entries, runs, workers,
                                                         shape, processes):
@@ -549,6 +560,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("field, kwargs", [
         ("runs_per_entry", {"runs_per_entry": 1.5}),
         ("runs_per_entry", {"runs_per_entry": "3"}),
+        ("runs_per_entry", {"runs_per_entry": MAX_RUNS + 1}),
         ("base_seed", {"base_seed": "1"}),
         ("base_seed", {"base_seed": -1}),
         ("entries", {"entries": (("sphere", 2.7),)}),
@@ -565,6 +577,13 @@ class TestRunExperiment:
         for dimension in (2**64, 2**62):
             with pytest.raises(ConfigurationError, match=f"dimension={dimension}"):
                 ExperimentConfig(entries=(("sphere", dimension),))
+
+    @pytest.mark.parametrize("field, value", [
+        ("runs_per_entry", 1), ("runs_per_entry", MAX_RUNS), ("base_seed", 0),
+    ])
+    def test_bounded_settings_are_accepted_at_their_bounds(self, field, value):
+        config = ExperimentConfig(entries=(("booth", 2),), **{field: value})
+        assert getattr(config, field) == value
 
     def test_numpy_integers_are_accepted_as_plain_ints(self):
         config = ExperimentConfig(entries=(("sphere", np.int64(3)),),
