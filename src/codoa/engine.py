@@ -98,8 +98,10 @@ class AlgorithmParams:
     rationality_rate: int = 2
 
     def __post_init__(self) -> None:
-        check_fields(self, num_particles=(2, MAX_DRAW), max_iterations=0, initial_ir=IR_FLOOR,
-                     rationality_rate=0)
+        # a run's history keeps one float per iteration, and fast_forward builds what is left
+        # of it at once: MAX_DRAW of them take 40 MB
+        check_fields(self, num_particles=(2, MAX_DRAW), max_iterations=(0, MAX_DRAW),
+                     initial_ir=IR_FLOOR, rationality_rate=0)
         if self.initial_ir > self.max_ir:
             raise ConfigurationError(f"initial_ir must be at most max_ir ({self.max_ir}), "
                                      f"got {self.initial_ir}")
@@ -264,18 +266,20 @@ def move_toward_best(
         return
     positions = state.pos.take(rows, axis=0)  # pos[rows], at a fraction of the indexing cost
     u = state.rng.draw(k * problem.dimension).reshape(k, problem.dimension)
-    moved = step(positions, u, state.ir.take(rows), state.global_best_position, problem)
+    moved = step(positions, u, state.ir.take(rows), state.global_best_position,
+                 problem.lower_bounds, problem.upper_bounds)
     state.pos[rows] = moved
     evaluate_swarm(state, problem, rows, moved)
 
 
 def step(positions: np.ndarray, u: np.ndarray, ir: np.ndarray, best: np.ndarray,
-         problem: ObjectiveProblem) -> np.ndarray:
+         lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Move each of the (k, d) ``positions`` a fraction ``u`` of ``ir`` times its gap to
-    ``best`` (one point, or one per row), overshooting where ``ir`` > 1; clamp to the box."""
+    ``best``, overshooting where ``ir`` > 1, and clamp it to the box from ``lower`` to
+    ``upper``; ``best``, ``lower`` and ``upper`` are each one point, or one per row."""
     moved = positions + u * (ir[:, None] * (best - positions))
-    np.maximum(moved, problem.lower_bounds, out=moved)  # np.clip without its Python wrapper
-    np.minimum(moved, problem.upper_bounds, out=moved)
+    np.maximum(moved, lower, out=moved)  # np.clip without its Python wrapper
+    np.minimum(moved, upper, out=moved)
     return moved
 
 

@@ -21,7 +21,8 @@ from dataclasses import asdict, dataclass
 from itertools import chain
 
 from codoa.benchmarks import check_entry, make_problem
-from codoa.engine import AlgorithmParams, ConfigurationError, check_fields, checked, run
+from codoa.engine import (MAX_DRAW, AlgorithmParams, ConfigurationError, check_fields,
+                          checked, run)
 
 TABLE2_DIMENSIONS = (2, 5, 10, 20, 30)
 
@@ -57,6 +58,9 @@ class ExperimentConfig:
         object.__setattr__(self, "entries", entries)
         if not isinstance(self.params, AlgorithmParams):
             raise ConfigurationError(f"params must be an AlgorithmParams, got {self.params!r}")
+        for _, dimension in entries:  # as initialize checks it, but before any worker starts
+            checked("num_particles * dimension", self.params.num_particles * dimension, "int",
+                    most=MAX_DRAW)
 
 
 @dataclass(frozen=True)

@@ -3,20 +3,20 @@
 ``run_many(params, runs)`` gives ``[run(params, problem, seed) for problem,
 seed in runs]``, bit for bit, at a lower cost per run: at small swarms most of
 the engine's cost is per-call overhead, which one set of array calls over the
-stacked swarms shares.  The runs must all be of one dimension, and go on one
-stack whatever their problems: a move steps and evaluates the rows of each
-stretch of adjacent swarms on one problem in one :func:`engine.step` and one
-:func:`engine.fitness_of` call, so each problem's runs cost least side by side.
-Each swarm is built by :func:`engine.initialize` and keeps its own random
-stream, drawn in the order ``run`` draws it.  A swarm that has
-:func:`engine.collapsed` onto its own problem's best leaves the stack through
-:func:`engine.fast_forward`.
+stacked swarms shares.  The runs, all of one dimension, go on one stack
+whatever their problems.  It holds the only copy of its swarms (each
+``SwarmState``'s arrays are its rows of the stack's once it is built), steps
+every moved row in one :func:`engine.step`, each in its own problem's box, and
+evaluates each stretch of adjacent swarms on one problem in one
+:func:`engine.fitness_of` call.  Each swarm keeps its own random stream, drawn
+in the order ``run`` draws it, and leaves the stack through
+:func:`engine.fast_forward` once it has :func:`engine.collapsed`.
 
 A stack advances only while it holds at least ``MIN_STACK`` swarms; the rest
-finish on ``run``'s own loop, :func:`engine.finish`.  At 50 particles a stack of
-two cost 1.06-1.3x its two runs made one by one, on one problem or on two, and a
-stack of three on one problem 0.84x (2 vCPUs), so three is the least stack that
-pays.
+finish on ``run``'s own loop, :func:`engine.finish`.  At 50 particles x 50
+iterations (2 vCPUs, medians of 41 alternating rounds), a stack of booth, beale
+and goldstein_price at d = 2 cost 0.95x their runs made one by one, 0.84x with
+mccormick, and 1.14x of booth and beale alone: three is the least that pays.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ def run_many(params: AlgorithmParams, runs) -> list[RunResult]:
 class _Stack:
     """The ``(problem, state)`` pairs of ``swarms``, all of one dimension, as flat
     arrays: rows ``r * N`` to ``r * N + N - 1`` of ``pos``, ``fit``, ``ir`` and ``ex``
-    are swarm ``r``'s particles, and ``best_pos``, ``best_fit``, ``holder`` and
-    ``evals`` hold one entry per swarm.
+    are swarm ``r``'s particles, and ``best_pos``, ``best_fit``, ``holder``, ``evals``,
+    ``lower`` and ``upper`` (its problem's box) hold one entry per swarm.
     """
 
     def __init__(self, params: AlgorithmParams, swarms) -> None:
@@ -65,9 +65,15 @@ class _Stack:
         self.best_fit = np.array([s.global_best_fitness for s in states])
         self.holder = np.array([s.best_holder_index for s in states])  # within its swarm
         self.evals = np.array([s.eval_count for s in states])
+        self.lower = np.stack([problem.lower_bounds for problem, _ in swarms])
+        self.upper = np.stack([problem.upper_bounds for problem, _ in swarms])
         self.first = np.arange(len(states)) * n  # row of each swarm's particle 0
         self.swarm_of = np.repeat(np.arange(len(states)), n)
         self.everyone = np.ones(len(states) * n, dtype=bool)
+        for r, s in enumerate(states):  # the stack's rows are from now on the swarm's arrays
+            rows = slice(r * n, (r + 1) * n)
+            s.pos, s.fit, s.ir, s.ex = self.pos[rows], self.fit[rows], self.ir[rows], self.ex[rows]
+            s.global_best_position = self.best_pos[r]
         # the problem of each stretch of adjacent swarms on one, and the row after it
         # (problems compare by identity)
         adjacent = groupby(problem for problem, _ in swarms)
@@ -76,14 +82,11 @@ class _Stack:
         self.ends = np.cumsum([count for _, count in groups]) * n
 
     def unstack(self) -> None:
-        """Write each swarm back into its ``SwarmState`` (histories are kept there)."""
-        for r, s in enumerate(self.states):
-            rows = slice(r * self.n, (r + 1) * self.n)
-            s.pos, s.fit, s.ir, s.ex = self.pos[rows], self.fit[rows], self.ir[rows], self.ex[rows]
-            s.global_best_position = self.best_pos[r]
-            s.global_best_fitness = self.best_fit.item(r)
-            s.best_holder_index = self.holder.item(r)
-            s.eval_count = self.evals.item(r)
+        """Write each swarm's best fitness, best holder and evaluation count back into its
+        ``SwarmState``, whose arrays are the stack's own rows."""
+        for s, fit, holder, evals in zip(self.states, self.best_fit.tolist(),
+                                         self.holder.tolist(), self.evals.tolist()):
+            s.global_best_fitness, s.best_holder_index, s.eval_count = fit, holder, evals
 
     def advance(self, done: int) -> tuple[list, int]:
         """Iterate on from ``done`` iterations until the budget, or until some swarm has
@@ -122,7 +125,7 @@ class _Stack:
 
     def decay(self) -> None:
         u = np.concatenate([rng.draw(self.n) for rng in self.rngs])
-        self.ir = np.maximum(u * self.ir, IR_FLOOR)
+        np.maximum(u * self.ir, IR_FLOOR, out=self.ir)
 
     def reward(self) -> None:
         """:func:`engine.reward_best` for every swarm."""
@@ -139,25 +142,21 @@ class _Stack:
             self.best_pos[better] = self.pos[best[better]]
 
     def move(self, mask: np.ndarray) -> None:
-        """:func:`engine.move_toward_best` for the rows in ``mask``: one step and one
-        objective call for the rows of each problem that has any."""
+        """:func:`engine.move_toward_best` for the rows in ``mask``: one step for them all,
+        each in its own swarm's box, and one objective call for each problem's rows."""
         rows = mask.nonzero()[0]
-        if not len(rows):
-            return
         counts = self.counts(mask)
+        owner = self.swarm_of.take(rows)  # the swarm of each moved row
         d = self.pos.shape[1]
-        u = self.draw(counts * d).reshape(len(rows), d)
-        best = self.best_pos.take(self.swarm_of.take(rows), axis=0)
-        # where each problem's rows end; most stacks hold one problem, and skip the search
-        ends = np.searchsorted(rows, self.ends).tolist() if len(self.ends) > 1 else [len(rows)]
+        moved = engine.step(self.pos.take(rows, axis=0),
+                            self.draw(counts * d).reshape(len(rows), d), self.ir.take(rows),
+                            self.best_pos.take(owner, axis=0), self.lower.take(owner, axis=0),
+                            self.upper.take(owner, axis=0))
+        self.pos[rows] = moved
         start = 0
-        for problem, end in zip(self.problems, ends):
+        for problem, end in zip(self.problems, np.searchsorted(rows, self.ends).tolist()):
             if end > start:
-                part = rows[start:end]
-                moved = engine.step(self.pos.take(part, axis=0), u[start:end],
-                                    self.ir.take(part), best[start:end], problem)
-                self.pos[part] = moved
-                self.fit[part] = engine.fitness_of(problem, moved)
+                self.fit[rows[start:end]] = engine.fitness_of(problem, moved[start:end])
             start = end
         self.evals += counts
 
@@ -188,18 +187,16 @@ class _Stack:
                 ir + u * (b.take(self.swarm_of[negative]) / ir), params.max_ir
             )
             self.move(negative)
-        rate = params.rationality_rate
-        if rate:
-            positive = ~negative
-            ir = self.ir[positive]
-            ref = b.take(self.swarm_of[positive])
-            u = np.concatenate([
-                rng.draw(m * rate).reshape(rate, m)
-                for rng, m in zip(self.rngs, self.counts(positive).tolist())
-            ], axis=1)  # pass p takes row p of each swarm's one draw
-            for row in u:
-                ir = np.minimum(ir + row * (ref / ir), params.max_ir)
-            self.ir[positive] = ir
+        rate, positive = params.rationality_rate, ~negative
+        ir = self.ir[positive]
+        ref = b.take(self.swarm_of[positive])
+        u = np.concatenate([
+            rng.draw(m * rate).reshape(rate, m)
+            for rng, m in zip(self.rngs, self.counts(positive).tolist())
+        ], axis=1)  # pass p takes row p of each swarm's one draw
+        for row in u:
+            ir = np.minimum(ir + row * (ref / ir), params.max_ir)
+        self.ir[positive] = ir
         # balancing
         self.decay()
         self.reward()

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from codoa import engine
+from codoa import engine, harness
 from codoa.benchmarks import REGISTRY
 from codoa.cli import _PARAM_FLAGS, UsageError, main, parse_args
 from codoa.engine import AlgorithmParams
@@ -100,6 +100,8 @@ class TestExitCodes:
          "rationality_rate * num_particles must be at most 5000000"),
         (["--function", "sphere", "--dims", "100", "--particles", "50001"],
          "num_particles * dimension must be at most 5000000"),
+        (["--particles", "2", "--iterations", "1000000000000"],
+         "max_iterations must be at most 5000000"),
         (["--runs", "1001"], "runs_per_entry must be at most 1000"),
         (["--runs", "2", "--workers", "65"], "workers must be at most 64"),
     ])
@@ -111,6 +113,15 @@ class TestExitCodes:
         args = ["run", "--function", "booth", "--iterations", "1", "--runs", "1", *flags]
         assert main(args) == 1
         assert capsys.readouterr().err.startswith(f"error: {error}, got ")
+
+    def test_a_pooled_run_checks_the_swarm_size_before_any_worker_starts(self, monkeypatch,
+                                                                          capsys):
+        monkeypatch.setattr(harness, "_pool_map", lambda *args: pytest.fail("the pool was reached"))
+        args = ["run", "--function", "sphere", "--dims", "100", "--particles", "50001",
+                "--runs", "2", "--workers", "2"]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: num_particles * dimension must be at most 5000000, got 5000100")
 
     def test_interrupt_exits_one_and_leaves_no_report(self, tmp_path, monkeypatch, capsys):
         def interrupted(config, workers):

@@ -73,6 +73,7 @@ class TestAlgorithmParams:
         ("num_particles", 2, 1, {}),
         ("num_particles", MAX_DRAW, MAX_DRAW + 1, {"rationality_rate": 1}),
         ("max_iterations", 0, -1, {}),
+        ("max_iterations", MAX_DRAW, MAX_DRAW + 1, {}),
         ("initial_ir", IR_FLOOR, math.nextafter(IR_FLOOR, 0.0), {}),
         ("rationality_rate", 0, -1, {}),
         # 50 particles: the product with num_particles is at MAX_DRAW, then past it

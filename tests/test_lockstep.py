@@ -146,6 +146,22 @@ def test_repeated_seeds_and_order_are_kept():
               [(sphere, 5), (BOOTH, 2), (sphere, 2), (BOOTH, 5), (sphere, 5), (sphere, 0)])
 
 
+def test_a_stack_holds_the_only_copy_of_its_swarms():
+    params = AlgorithmParams(num_particles=5, max_iterations=10)
+    runs = [(BOOTH, 1), (TABLE2_D2["beale"], 2), (BOOTH, 3)]
+    swarms = [(problem, engine.initialize(params, problem, seed)) for problem, seed in runs]
+    stack = lockstep._Stack(params, swarms)
+    for when in ("built", "iterated"):
+        for r, (_, state) in enumerate(swarms):
+            rows = slice(r * 5, r * 5 + 5)
+            for name in ("pos", "fit", "ir", "ex"):
+                assert np.shares_memory(getattr(state, name), getattr(stack, name)[rows]), (
+                    f"{name} of swarm {r}, {when}")
+            assert np.shares_memory(state.global_best_position, stack.best_pos[r]), (
+                f"global_best_position of swarm {r}, {when}")
+        stack.iterate()
+
+
 def test_no_runs_make_no_results():
     assert run_many(AlgorithmParams(), []) == []
 
