@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from codoa.engine import ConfigurationError, ObjectiveProblem, checked
+from codoa.engine import MAX_DRAW, AlgorithmParams, ConfigurationError, ObjectiveProblem, checked
 
 
 # as 0-d arrays, which numpy takes faster than a Python number it must convert
@@ -122,76 +122,66 @@ class _Pair:
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    """Domain card for one objective: bounds, optimum, and dimension rule.
+    """Domain card for one objective: bounds, optimum, and dimension range.
 
-    ``fixed_dimension`` is None for dimension-polymorphic functions (any
-    n >= 2).  ``bounds`` and ``minimizer`` hold one entry per coordinate;
-    a single entry is replicated across all requested dimensions.
+    ``dimensions`` is the least and the most dimension the function takes.
+    ``bounds`` and ``minimizer`` hold one entry per coordinate; a single
+    entry is replicated across all requested dimensions.
     """
 
     name: str
-    fixed_dimension: Optional[int]
+    dimensions: tuple[int, int]
     bounds: tuple[tuple[float, float], ...]
     known_minimum_value: float
     minimizer: tuple[float, ...]
     func: Callable[[np.ndarray], float]
 
 
+# the most coordinates of sphere and rosenbrock: a reference swarm of this dimension
+# draws MAX_DRAW uniforms in one step (40 MB)
+MAX_DIMENSION = MAX_DRAW // AlgorithmParams.num_particles
+
 REGISTRY: dict[str, BenchmarkSpec] = {
     spec.name: spec
     for spec in (
-        BenchmarkSpec("booth", 2, ((-10.0, 10.0),), 0.0, (1.0, 3.0), _Pair(booth)),
-        BenchmarkSpec("beale", 2, ((-4.5, 4.5),), 0.0, (3.0, 0.5), _Pair(beale)),
+        BenchmarkSpec("booth", (2, 2), ((-10.0, 10.0),), 0.0, (1.0, 3.0), _Pair(booth)),
+        BenchmarkSpec("beale", (2, 2), ((-4.5, 4.5),), 0.0, (3.0, 0.5), _Pair(beale)),
         BenchmarkSpec(
-            "goldstein_price", 2, ((-2.0, 2.0),), 3.0, (0.0, -1.0), _Pair(goldstein_price)
+            "goldstein_price", (2, 2), ((-2.0, 2.0),), 3.0, (0.0, -1.0), _Pair(goldstein_price)
         ),
         BenchmarkSpec(
             "mccormick",
-            2,
+            (2, 2),
             ((-1.5, 4.0), (-3.0, 4.0)),
             -1.9133,
             (-0.54719, -1.54719),
             _Pair(mccormick),
         ),
         BenchmarkSpec(
-            "three_hump_camel", 2, ((-5.0, 5.0),), 0.0, (0.0, 0.0), _Pair(three_hump_camel)
+            "three_hump_camel", (2, 2), ((-5.0, 5.0),), 0.0, (0.0, 0.0), _Pair(three_hump_camel)
         ),
-        BenchmarkSpec("sphere", None, ((-100.0, 100.0),), 0.0, (0.0,), sphere),
-        BenchmarkSpec("rosenbrock", None, ((-30.0, 30.0),), 0.0, (1.0,), rosenbrock),
+        BenchmarkSpec("sphere", (2, MAX_DIMENSION), ((-100.0, 100.0),), 0.0, (0.0,), sphere),
+        BenchmarkSpec("rosenbrock", (2, MAX_DIMENSION), ((-30.0, 30.0),), 0.0, (1.0,), rosenbrock),
     )
 }
-
-
-MAX_DIMENSION = 100_000  # a 50-particle swarm of this dimension holds 40 MB of positions
 
 
 def check_entry(name: str, dimension: int) -> tuple[BenchmarkSpec, int]:
     """The spec of the named benchmark and ``dimension`` as an ``int``, if the
     benchmark takes that dimension (see :func:`make_problem`); else ConfigurationError."""
-    dimension = checked(f"dimension of {name!r}", dimension, "int")
     spec = REGISTRY.get(name)
     if spec is None:
         raise ConfigurationError(
             f"unknown function {name!r}; choose from: {', '.join(REGISTRY)}"
         )
-    if spec.fixed_dimension is not None and dimension != spec.fixed_dimension:
-        raise ConfigurationError(
-            f"function {name!r} is fixed to dimension {spec.fixed_dimension}, "
-            f"got dimension={dimension}"
-        )
-    if spec.fixed_dimension is None and not 2 <= dimension <= MAX_DIMENSION:
-        raise ConfigurationError(
-            f"function {name!r} needs 2 <= dimension <= {MAX_DIMENSION}, "
-            f"got dimension={dimension}"
-        )
-    return spec, dimension
+    return spec, checked(f"dimension of {name!r}", dimension, "int", *spec.dimensions)
 
 
 def make_problem(name: str, dimension: int = 2) -> ObjectiveProblem:
     """Build the named benchmark as a box-constrained problem.
 
-    The five two-dimensional functions accept only ``dimension=2``; sphere
-    and rosenbrock accept any integer ``dimension`` from 2 to ``MAX_DIMENSION``.
+    ``dimension`` is an integer in the spec's ``dimensions`` range: 2 for the
+    five two-dimensional functions, 2 to ``MAX_DIMENSION`` for sphere and rosenbrock.
     """
     spec, dimension = check_entry(name, dimension)
     bounds = spec.bounds * dimension if len(spec.bounds) == 1 else spec.bounds

@@ -148,7 +148,8 @@ def cmd_list(ns: argparse.Namespace) -> int:
     A box or minimizer given for one coordinate holds for every coordinate.
     """
     for spec in REGISTRY.values():
-        dims = f"n = {spec.fixed_dimension}" if spec.fixed_dimension else "n >= 2"
+        least, most = spec.dimensions
+        dims = f"n = {least}" if least == most else f"n >= {least}"
         box = ", ".join(f"[{lo:g}, {hi:g}]" for lo, hi in spec.bounds)
         at = ", ".join(f"{v:g}" for v in spec.minimizer)
         print(f"{spec.name:<18} {dims:<7} {box:<19} min {spec.known_minimum_value:g} at ({at})")

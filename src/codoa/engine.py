@@ -48,7 +48,7 @@ from codoa.rng import RandomStream
 
 IR_FLOOR = 1e-6  # the least interactivity: positive, so that ratios of it stay finite
 # the most uniforms one step of a run draws (n x d to scatter or move, n x rationality_rate
-# to rationalize): 40 MB of them, as a 50-particle swarm at benchmarks.MAX_DIMENSION holds
+# to rationalize): 40 MB of them
 MAX_DRAW = 5_000_000
 
 

@@ -10,7 +10,9 @@ every moved row in one :func:`engine.step`, each in its own problem's box, and
 evaluates each stretch of adjacent swarms on one problem in one
 :func:`engine.fitness_of` call.  Each swarm keeps its own random stream, drawn
 in the order ``run`` draws it, and leaves the stack through
-:func:`engine.fast_forward` once it has :func:`engine.collapsed`.
+:func:`engine.fast_forward` once it has :func:`engine.collapsed`, with its
+``RunResult`` made there: a finished swarm keeps no view of the stack it left,
+so each stack is freed once the next, of the swarms still running, is built.
 
 A stack advances only while it holds at least ``MIN_STACK`` swarms; the rest
 finish on ``run``'s own loop, :func:`engine.finish`.  At 50 particles x 50
@@ -26,27 +28,32 @@ from itertools import groupby
 import numpy as np
 
 from codoa import engine
-from codoa.engine import IR_FLOOR, AlgorithmParams, RunResult
+from codoa.engine import IR_FLOOR, AlgorithmParams, ConfigurationError, RunResult
 
 MIN_STACK = 3  # the fewest swarms a stack advances; fewer finish one by one
 
 
 def run_many(params: AlgorithmParams, runs) -> list[RunResult]:
     """``[run(params, problem, seed) for problem, seed in runs]``, for runs of one
-    dimension, on one lockstep stack."""
+    dimension, on one lockstep stack; runs of several dimensions are a ConfigurationError."""
     runs = list(runs)
-    states = [engine.initialize(params, problem, seed) for problem, seed in runs]
-    running = [(problem, state) for (problem, _), state in zip(runs, states)]
+    dimensions = sorted({problem.dimension for problem, _ in runs})
+    if len(dimensions) > 1:
+        raise ConfigurationError(f"runs must be of one dimension, got dimensions {dimensions}")
+    results = [None] * len(runs)
+    running = [(k, problem, engine.initialize(params, problem, seed))
+               for k, (problem, seed) in enumerate(runs)]
     done = 0
     while len(running) >= MIN_STACK and done < params.max_iterations:
-        running, done = _Stack(params, running).advance(done)
-    for problem, state in running:  # too few to stack, or at the end of the budget
+        running, done = _Stack(params, running).advance(done, results)
+    for k, problem, state in running:  # too few to stack, or at the end of the budget
         engine.finish(state, params, problem, done)
-    return [engine.result(state) for state in states]
+        results[k] = engine.result(state)
+    return results
 
 
 class _Stack:
-    """The ``(problem, state)`` pairs of ``swarms``, all of one dimension, as flat
+    """The ``(k, problem, state)`` swarms of runs ``k``, all of one dimension, as flat
     arrays: rows ``r * N`` to ``r * N + N - 1`` of ``pos``, ``fit``, ``ir`` and ``ex``
     are swarm ``r``'s particles, and ``best_pos``, ``best_fit``, ``holder``, ``evals``,
     ``lower`` and ``upper`` (its problem's box) hold one entry per swarm.
@@ -54,7 +61,7 @@ class _Stack:
 
     def __init__(self, params: AlgorithmParams, swarms) -> None:
         self.params, self.swarms = params, swarms
-        self.states = states = [s for _, s in swarms]
+        self.states = states = [s for _, _, s in swarms]
         self.rngs = [s.rng for s in states]
         self.n = n = params.num_particles
         self.pos = np.concatenate([s.pos for s in states])
@@ -65,8 +72,8 @@ class _Stack:
         self.best_fit = np.array([s.global_best_fitness for s in states])
         self.holder = np.array([s.best_holder_index for s in states])  # within its swarm
         self.evals = np.array([s.eval_count for s in states])
-        self.lower = np.stack([problem.lower_bounds for problem, _ in swarms])
-        self.upper = np.stack([problem.upper_bounds for problem, _ in swarms])
+        self.lower = np.stack([problem.lower_bounds for _, problem, _ in swarms])
+        self.upper = np.stack([problem.upper_bounds for _, problem, _ in swarms])
         self.first = np.arange(len(states)) * n  # row of each swarm's particle 0
         self.swarm_of = np.repeat(np.arange(len(states)), n)
         self.everyone = np.ones(len(states) * n, dtype=bool)
@@ -76,7 +83,7 @@ class _Stack:
             s.global_best_position = self.best_pos[r]
         # the problem of each stretch of adjacent swarms on one, and the row after it
         # (problems compare by identity)
-        adjacent = groupby(problem for problem, _ in swarms)
+        adjacent = groupby(problem for _, problem, _ in swarms)
         groups = [(problem, len(list(group))) for problem, group in adjacent]
         self.problems = [problem for problem, _ in groups]
         self.ends = np.cumsum([count for _, count in groups]) * n
@@ -88,10 +95,11 @@ class _Stack:
                                          self.holder.tolist(), self.evals.tolist()):
             s.global_best_fitness, s.best_holder_index, s.eval_count = fit, holder, evals
 
-    def advance(self, done: int) -> tuple[list, int]:
+    def advance(self, done: int, results: list) -> tuple[list, int]:
         """Iterate on from ``done`` iterations until the budget, or until some swarm has
-        :func:`engine.collapsed` and been fast-forwarded; write every swarm back, and
-        return the ``(problem, state)`` pairs still running and the new count."""
+        :func:`engine.collapsed`, been fast-forwarded and had its ``RunResult`` put in
+        ``results[k]``; write every swarm back, and return the ``(k, problem, state)``
+        swarms still running and the new count."""
         budget = self.params.max_iterations
         while done < budget:
             self.iterate()
@@ -100,11 +108,12 @@ class _Stack:
             if (self.fit.reshape(-1, self.n).max(axis=1) == self.best_fit).any():
                 self.unstack()
                 running = []
-                for problem, state in self.swarms:
-                    if engine.collapsed(state, problem):
+                for k, problem, state in self.swarms:
+                    if engine.collapsed(state, problem):  # packaged here, it keeps no row
                         engine.fast_forward(state, budget - done)
+                        results[k] = engine.result(state)
                     else:
-                        running.append((problem, state))
+                        running.append((k, problem, state))
                 if len(running) < len(self.swarms):
                     return running, done
         self.unstack()

@@ -54,7 +54,7 @@ class TestKnownMinima:
 
     def test_registry_specs_reproduce_their_minima(self):
         for spec in REGISTRY.values():
-            dim = spec.fixed_dimension or 2
+            dim = min(spec.dimensions[1], 2)
             problem = make_problem(spec.name, dim)
             value = problem.evaluator(problem.known_minimizer)
             tol = 1e-4 if spec.name == "mccormick" else 1e-9
@@ -175,8 +175,21 @@ class TestMakeProblem:
     @pytest.mark.parametrize("dimension", [2**62, 2**63, 2**64, 10**400],
                              ids=["2**62", "2**63", "2**64", "10**400"])
     def test_dimension_beyond_an_array_length_is_rejected(self, name, dimension):
-        with pytest.raises(ConfigurationError, match=f"dimension={dimension}"):
+        most = benchmarks.MAX_DIMENSION
+        message = f"dimension of {name!r} must be at most {most}, got {dimension}"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             make_problem(name, dimension)
+
+    @pytest.mark.parametrize("name", list(REGISTRY))
+    def test_check_entry_takes_a_specs_dimension_range_and_nothing_past_it(self, name):
+        spec = REGISTRY[name]
+        least, most = spec.dimensions
+        for dimension in (least, most):
+            assert check_entry(name, dimension) == (spec, dimension)
+        for side, bound, dimension in (("least", least, least - 1), ("most", most, most + 1)):
+            message = f"dimension of {name!r} must be at {side} {bound}, got {dimension}"
+            with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+                check_entry(name, dimension)
 
     @pytest.mark.parametrize("name", ["booth", "sphere"])
     @pytest.mark.parametrize("dimension", [2.7, 2.0, "3", None, True])
@@ -263,13 +276,13 @@ class TestBatchForms:
 
     @pytest.mark.parametrize("name", sorted(REGISTRY))
     def test_one_row_batch(self, name):
-        problem = make_problem(name, 3 if REGISTRY[name].fixed_dimension is None else 2)
+        problem = make_problem(name, min(REGISTRY[name].dimensions[1], 3))
         self._check(problem, [problem.known_minimizer])
 
     @pytest.mark.parametrize("name", sorted(REGISTRY))
     def test_problem_survives_a_pickle_round_trip(self, name):
         # a pooled run sends each worker the problem built for its entry
-        dim = 3 if REGISTRY[name].fixed_dimension is None else 2
+        dim = min(REGISTRY[name].dimensions[1], 3)
         problem = make_problem(name, dim)
         copy = pickle.loads(pickle.dumps(problem))
         rng = np.random.default_rng(sorted(REGISTRY).index(name))

@@ -12,6 +12,8 @@ from codoa.cli import _PARAM_FLAGS, UsageError, main, parse_args
 from codoa.engine import AlgorithmParams
 from codoa.harness import ExperimentConfig
 
+ENTRIES = "entries must be (function, dimension) pairs that a benchmark takes"
+
 
 class TestParsing:
     def test_the_run_flags_set_every_algorithm_parameter(self):
@@ -104,6 +106,9 @@ class TestExitCodes:
          "max_iterations must be at most 5000000"),
         (["--runs", "1001"], "runs_per_entry must be at most 1000"),
         (["--runs", "2", "--workers", "65"], "workers must be at most 64"),
+        (["--dims", "3"], f"{ENTRIES}: dimension of 'booth' must be at most 2"),
+        (["--function", "sphere", "--dims", "100001"],
+         f"{ENTRIES}: dimension of 'sphere' must be at most 100000"),
     ])
     def test_a_size_past_its_bound_exits_one_naming_the_field_before_anything_is_drawn(
             self, flags, error, monkeypatch, capsys):

@@ -415,7 +415,7 @@ class TestEvaluationPaths:
 
     @pytest.mark.parametrize("name", sorted(REGISTRY))
     def test_row_path_matches_batch_path_end_to_end(self, name):
-        problem = make_problem(name, REGISTRY[name].fixed_dimension or 5)
+        problem = make_problem(name, min(REGISTRY[name].dimensions[1], 5))
         assert hasattr(problem.evaluator, "batch")
         rows_only = dataclasses.replace(problem, evaluator=lambda x: problem.evaluator(x))
         params = AlgorithmParams(num_particles=20, max_iterations=30)

@@ -1,7 +1,10 @@
 """Lockstep runs: ``run_many`` gives each run's ``run``, bit for bit."""
 
 import dataclasses
+import gc
 import math
+import re
+import weakref
 
 import numpy as np
 import pytest
@@ -36,7 +39,7 @@ unruly.batch = lambda points: np.array([unruly(x) for x in points])
 
 UNRULY = box_problem([-1.0, -1.0], [1.0, 1.0], unruly)
 UNRULY_ROWS = box_problem([-1.0, -1.0], [1.0, 1.0], lambda x: unruly(x))  # rows one by one
-PROBLEMS = [make_problem(name, REGISTRY[name].fixed_dimension or 4) for name in sorted(REGISTRY)]
+PROBLEMS = [make_problem(name, min(REGISTRY[name].dimensions[1], 4)) for name in sorted(REGISTRY)]
 PROBLEMS += [UNRULY, UNRULY_ROWS]
 
 BOOTH = make_problem("booth")
@@ -149,10 +152,11 @@ def test_repeated_seeds_and_order_are_kept():
 def test_a_stack_holds_the_only_copy_of_its_swarms():
     params = AlgorithmParams(num_particles=5, max_iterations=10)
     runs = [(BOOTH, 1), (TABLE2_D2["beale"], 2), (BOOTH, 3)]
-    swarms = [(problem, engine.initialize(params, problem, seed)) for problem, seed in runs]
+    swarms = [(k, problem, engine.initialize(params, problem, seed))
+              for k, (problem, seed) in enumerate(runs)]
     stack = lockstep._Stack(params, swarms)
     for when in ("built", "iterated"):
-        for r, (_, state) in enumerate(swarms):
+        for r, (_, _, state) in enumerate(swarms):
             rows = slice(r * 5, r * 5 + 5)
             for name in ("pos", "fit", "ir", "ex"):
                 assert np.shares_memory(getattr(state, name), getattr(stack, name)[rows]), (
@@ -160,6 +164,39 @@ def test_a_stack_holds_the_only_copy_of_its_swarms():
             assert np.shares_memory(state.global_best_position, stack.best_pos[r]), (
                 f"global_best_position of swarm {r}, {when}")
         stack.iterate()
+
+
+def test_a_stack_is_freed_once_the_next_is_built(monkeypatch):
+    arrays = []  # weak references to each stack's arrays, in the order the stacks were built
+    alive = []  # for each stack built, how many earlier stacks still had an array alive
+
+    def init(self, *args):
+        original_init(self, *args)
+        gc.collect()
+        alive.append(sum(any(ref() is not None for ref in refs) for refs in arrays))
+        arrays.append([weakref.ref(getattr(self, name))
+                       for name in ("pos", "fit", "ir", "ex", "best_pos")])
+
+    original_init = lockstep._Stack.__init__
+    monkeypatch.setattr(lockstep._Stack, "__init__", init)
+    params = AlgorithmParams(num_particles=12, max_iterations=300)
+    runs = [(BOOTH, seed) for seed in range(12)]
+    results = run_many(params, runs)
+    # the swarms collapse at several iterations, each leaving the stack it was on behind
+    assert len(alive) >= 5 and alive == [0] * len(alive)
+    monkeypatch.undo()
+    assert results == [run(params, problem, seed) for problem, seed in runs]
+
+
+@pytest.mark.parametrize("runs", [
+    [(BOOTH, 1), (SPHERE3, 2)],
+    [(BOOTH, 1), (SPHERE3, 2), (BOOTH, 3)],
+], ids=["2 runs", "3 runs"])
+def test_runs_of_two_dimensions_are_rejected_before_any_swarm_is_initialized(runs,
+                                                                               monkeypatch):
+    monkeypatch.setattr(engine, "initialize", lambda *args: pytest.fail("a swarm began"))
+    with pytest.raises(ConfigurationError, match=re.escape("got dimensions [2, 3]")):
+        run_many(AlgorithmParams(num_particles=4, max_iterations=5), runs)
 
 
 def test_no_runs_make_no_results():
@@ -203,7 +240,7 @@ def test_a_move_makes_one_objective_call_per_problem_it_moves(monkeypatch):
     def move(stack, mask):
         before = calls()
         original(stack, mask)
-        moved = {stack.swarms[r][0] for r in stack.swarm_of[mask].tolist()}
+        moved = {stack.swarms[r][1] for r in stack.swarm_of[mask].tolist()}
         moves.append(([after - b for after, b in zip(calls(), before)],
                       [int(p in moved) for p in problems]))
 
