@@ -27,10 +27,11 @@ one by one in index order), so ``fit[i] == f(pos[i])`` always.
 Swarms collapse: every particle comes to sit on the archived best, bit for
 bit (see :func:`collapsed`; booth-2 runs at the reference settings do so at
 iterations 155-209).  From then on every move lands on the archived point
-and gets its fitness again, so ``run`` finishes the budget with the
-bookkeeping of :func:`fast_forward` alone, and its ``RunResult`` is the one
+and gets its fitness again.  Every run ends in :func:`finish`, which checks for
+the collapse before each iteration and then finishes the budget with the
+bookkeeping of :func:`fast_forward` alone, so its ``RunResult`` is the one
 that iterating gives, bit for bit.  ``iterate`` still runs every phase; only
-``run``, which exposes neither, stops advancing ``ir`` and the random stream.
+``finish``, which exposes neither, stops advancing ``ir`` and the random stream.
 """
 
 from __future__ import annotations
@@ -396,15 +397,16 @@ def iterate(state: SwarmState, params: AlgorithmParams, problem: ObjectiveProble
 
 
 def collapsed(state: SwarmState, problem: ObjectiveProblem) -> bool:
-    """Whether every particle sits on the archived best for good, at an iteration's end.
+    """Whether every particle sits on the archived best for good, at the end of an
+    iteration or of :func:`initialize`.
 
     True when every fitness is the archived best's, every position is the
     archived point bit for bit, and a zero step from that point, clamped as
     :func:`step` clamps, lands on it bit for bit (so it has no
     ``-0.0`` coordinate and lies in the box): then every later move lands on
     the archived point and gets its fitness again, so it changes no position,
-    fitness or archive.  No fitness is below the archive's at an iteration's
-    end, so most swarms cost one reduction.
+    fitness or archive.  No fitness is below the archive's at either end, so
+    most swarms cost one reduction.
     """
     if state.fit.max() != state.global_best_fitness:
         return False
@@ -440,23 +442,19 @@ def fast_forward(state: SwarmState, iterations: int) -> None:
 
 
 def run(params: AlgorithmParams, problem: ObjectiveProblem, seed: int) -> RunResult:
-    """Full optimization: initialize, iterate to the budget, package the archive.
-
-    Once the swarm has :func:`collapsed` onto its best, the rest of the budget
-    is finished by :func:`fast_forward`, which gives the ``RunResult`` that
-    iterating would, bit for bit, without advancing ``ir`` or the random stream.
-    """
-    state = initialize(params, problem, seed)
-    finish(state, params, problem)
-    return result(state)
+    """Full optimization: initialize, then :func:`finish` the budget."""
+    return finish(initialize(params, problem, seed), params, problem)
 
 
 def finish(state: SwarmState, params: AlgorithmParams, problem: ObjectiveProblem,
-           done: int = 0) -> None:
-    """Iterate ``state``, ``done`` iterations into its run, on to the budget, and
-    finish by :func:`fast_forward` once it has :func:`collapsed`."""
-    for done in range(done + 1, params.max_iterations + 1):
-        iterate(state, params, problem)
+           done: int = 0) -> RunResult:
+    """Iterate ``state``, ``done`` iterations into its run, on to the budget, and give
+    its ``RunResult``; from the first iteration at which the swarm has :func:`collapsed`
+    (the 0th, right after :func:`initialize`, too), :func:`fast_forward` finishes the
+    budget, as iterating would, bit for bit."""
+    for done in range(done, params.max_iterations):
         if collapsed(state, problem):
             fast_forward(state, params.max_iterations - done)
             break
+        iterate(state, params, problem)
+    return result(state)

@@ -9,13 +9,15 @@ whatever their problems.  It holds the only copy of its swarms (each
 every moved row in one :func:`engine.step`, each in its own problem's box, and
 evaluates each stretch of adjacent swarms on one problem in one
 :func:`engine.fitness_of` call.  Each swarm keeps its own random stream, drawn
-in the order ``run`` draws it, and leaves the stack through
-:func:`engine.fast_forward` once it has :func:`engine.collapsed`, with its
-``RunResult`` made there: a finished swarm keeps no view of the stack it left,
-so each stack is freed once the next, of the swarms still running, is built.
+in the order ``run`` draws it.  A stack only iterates: it stops once some
+swarm has :func:`engine.collapsed`, and that swarm leaves it for
+:func:`engine.finish`, which fast-forwards it and makes its ``RunResult``
+there, so that it keeps no view of the stack; each stack is freed once the
+next, of the swarms still running, is built.
 
-A stack advances only while it holds at least ``MIN_STACK`` swarms; the rest
-finish on ``run``'s own loop, :func:`engine.finish`.  At 50 particles x 50
+A stack advances only while it holds at least ``MIN_STACK`` swarms; the rest,
+given arrays of their own, finish on :func:`engine.finish` too, which is
+``run``'s own loop, so every ``RunResult`` is made there.  At 50 particles x 50
 iterations (2 vCPUs, medians of 41 alternating rounds), a stack of booth, beale
 and goldstein_price at d = 2 cost 0.95x their runs made one by one, 0.84x with
 mccormick, and 1.14x of booth and beale alone: three is the least that pays.
@@ -40,16 +42,24 @@ def run_many(params: AlgorithmParams, runs) -> list[RunResult]:
     dimensions = sorted({problem.dimension for problem, _ in runs})
     if len(dimensions) > 1:
         raise ConfigurationError(f"runs must be of one dimension, got dimensions {dimensions}")
-    results = [None] * len(runs)
+    results = {}
     running = [(k, problem, engine.initialize(params, problem, seed))
                for k, (problem, seed) in enumerate(runs)]
     done = 0
     while len(running) >= MIN_STACK and done < params.max_iterations:
-        running, done = _Stack(params, running).advance(done, results)
-    for k, problem, state in running:  # too few to stack, or at the end of the budget
-        engine.finish(state, params, problem, done)
-        results[k] = engine.result(state)
-    return results
+        done = _Stack(params, running).advance(done)
+        # finished where they leave (in a comprehension, which binds no state past it),
+        # the collapsed swarms keep no view of the stack
+        results.update({k: engine.finish(state, params, problem, done)
+                        for k, problem, state in running if engine.collapsed(state, problem)})
+        running = [swarm for swarm in running if swarm[0] not in results]
+    for _, _, state in running:  # too few to stack, or at the end of the budget
+        state.pos, state.fit, state.ir, state.ex = (  # their own arrays: the stack is freed
+            state.pos.copy(), state.fit.copy(), state.ir.copy(), state.ex.copy())
+        state.global_best_position = state.global_best_position.copy()
+    results.update({k: engine.finish(state, params, problem, done)
+                    for k, problem, state in running})
+    return [results[k] for k in range(len(runs))]
 
 
 class _Stack:
@@ -95,29 +105,19 @@ class _Stack:
                                          self.holder.tolist(), self.evals.tolist()):
             s.global_best_fitness, s.best_holder_index, s.eval_count = fit, holder, evals
 
-    def advance(self, done: int, results: list) -> tuple[list, int]:
+    def advance(self, done: int) -> int:
         """Iterate on from ``done`` iterations until the budget, or until some swarm has
-        :func:`engine.collapsed`, been fast-forwarded and had its ``RunResult`` put in
-        ``results[k]``; write every swarm back, and return the ``(k, problem, state)``
-        swarms still running and the new count."""
-        budget = self.params.max_iterations
-        while done < budget:
+        :func:`engine.collapsed`; write every swarm back, and return the new count."""
+        while done < self.params.max_iterations:
             self.iterate()
             done += 1
             # a swarm whose fitnesses all equal its best may have collapsed
             if (self.fit.reshape(-1, self.n).max(axis=1) == self.best_fit).any():
                 self.unstack()
-                running = []
-                for k, problem, state in self.swarms:
-                    if engine.collapsed(state, problem):  # packaged here, it keeps no row
-                        engine.fast_forward(state, budget - done)
-                        results[k] = engine.result(state)
-                    else:
-                        running.append((k, problem, state))
-                if len(running) < len(self.swarms):
-                    return running, done
+                if any(engine.collapsed(state, problem) for _, problem, state in self.swarms):
+                    return done
         self.unstack()
-        return self.swarms, done
+        return done
 
     def counts(self, mask: np.ndarray) -> np.ndarray:
         """How many rows of each swarm ``mask`` holds."""

@@ -1,9 +1,10 @@
 """The collapsed-swarm shortcut of ``run``: same results as iterating, bit for bit.
 
 Once every particle sits on the archived best (see ``engine.collapsed``),
-``run`` finishes the budget with ``engine.fast_forward``.  The reference here
-is the step-by-step loop: ``initialize``, then ``max_iterations`` calls of
-``iterate``, packaged as a ``RunResult``.
+``engine.finish``, where every run ends, finishes the budget with
+``engine.fast_forward``.  The reference here is the step-by-step loop:
+``initialize``, then ``max_iterations`` calls of ``iterate``, packaged as a
+``RunResult``.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from codoa.engine import (
     iterate,
     run,
 )
+from codoa.lockstep import run_many
 from codoa.rng import RandomStream
 
 from support import box_problem, make_state
@@ -60,6 +62,28 @@ def test_run_equals_the_stepwise_loop(monkeypatch, name):
         assert type(result.eval_count) is int
         if name in ("booth", "mccormick", "beale", "goldstein_price"):
             assert calls < params.max_iterations  # these swarms collapse by ~260 iterations
+
+
+# a box narrower than one ulp: every coordinate drawn in it is 0 or 5e-324, and at N = 2
+# seeds 8, 10, 17, 25, 31 and 34 scatter both particles on one point
+SUB_ULP = box_problem([0.0, 0.0], [5e-324, 5e-324], lambda x: float(x.sum()))
+
+
+def test_a_swarm_collapsed_at_initialize_makes_no_iteration(monkeypatch):
+    params = AlgorithmParams(num_particles=2, max_iterations=30)
+    assert collapsed(initialize(params, SUB_ULP, 8), SUB_ULP)
+    result, calls = counted_run(monkeypatch, params, SUB_ULP, 8)
+    assert result == stepwise(params, SUB_ULP, 8)
+    assert calls == 0
+
+
+def test_swarms_collapsed_at_initialize_give_the_stepwise_results_in_lockstep():
+    params = AlgorithmParams(num_particles=2, max_iterations=30)
+    seeds = [8, 10, 17, 25, 0]  # and one, seed 0, that does not collapse there
+    at_start = [collapsed(initialize(params, SUB_ULP, s), SUB_ULP) for s in seeds]
+    assert at_start == [True] * 4 + [False]
+    assert run_many(params, [(SUB_ULP, s) for s in seeds]) == [
+        stepwise(params, SUB_ULP, s) for s in seeds]
 
 
 @st.composite

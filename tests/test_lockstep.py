@@ -290,8 +290,8 @@ def test_swarms_fewer_than_min_stack_finish_on_runs_own_loop(monkeypatch):
     finished = []
 
     def finish(state, params, problem, done):
-        finished.append((problem, state.rng.seed, done))
-        original(state, params, problem, done)
+        finished.append((problem, state.rng.seed, done, engine.collapsed(state, problem)))
+        return original(state, params, problem, done)
 
     original = engine.finish
     monkeypatch.setattr(engine, "finish", finish)
@@ -300,12 +300,42 @@ def test_swarms_fewer_than_min_stack_finish_on_runs_own_loop(monkeypatch):
     run_many(params, runs)
     run_many(params, [(SPHERE3, 7)])
     assert MIN_STACK == 3
-    # of the four swarms, the first booth swarm to collapse leaves three, the second two,
-    # which finish from there; a swarm alone finishes from the start
-    *pair, alone = finished
-    assert alone == (SPHERE3, 7, 0)
+    # every swarm ends in finish: of the four, the first booth swarm to collapse leaves
+    # three, the second two, which finish from there without having collapsed; a swarm
+    # alone finishes from the start
+    *stacked, alone = finished
+    assert len(stacked) == 4
+    pair = [call[:3] for call in stacked if not call[3]]
+    assert alone == (SPHERE3, 7, 0, False)
     assert len(pair) == 2 and pair[0][2] == pair[1][2] and 0 < pair[0][2] < 300
     assert {(problem, seed) for problem, seed, _ in pair} < set(runs)
     monkeypatch.undo()
     same_runs(params, runs)
     same_runs(params, [(SPHERE3, 7)])
+
+
+def test_swarms_too_few_to_stack_keep_no_view_of_the_last_stack(monkeypatch):
+    arrays = []  # weak references to the arrays of the last stack built
+    alive = []  # for each swarm finished without having collapsed, whether any was alive
+
+    def init(self, *args):
+        original_init(self, *args)
+        arrays[:] = [weakref.ref(getattr(self, name))
+                     for name in ("pos", "fit", "ir", "ex", "best_pos")]
+
+    def finish(state, params, problem, done):
+        if not engine.collapsed(state, problem):
+            gc.collect()
+            alive.append(any(ref() is not None for ref in arrays))
+        return original_finish(state, params, problem, done)
+
+    original_init, original_finish = lockstep._Stack.__init__, engine.finish
+    monkeypatch.setattr(lockstep._Stack, "__init__", init)
+    monkeypatch.setattr(engine, "finish", finish)
+    params = AlgorithmParams(num_particles=12, max_iterations=300)
+    runs = [(BOOTH, seed) for seed in range(12)]
+    results = run_many(params, runs)
+    # the swarms collapse one by one until two are left, which finish off the stack
+    assert alive == [False, False]
+    monkeypatch.undo()
+    assert results == [run(params, problem, seed) for problem, seed in runs]
