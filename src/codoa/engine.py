@@ -48,6 +48,9 @@ from codoa.rng import RandomStream
 
 
 IR_FLOOR = 1e-6  # the least interactivity: positive, so that ratios of it stay finite
+# the most max_ir: a boost (below 2 x max_ir) and a ratio b / ir (at most max_ir / IR_FLOOR,
+# half the float range) stay finite, so a rationalizing boost ir + u * (b / ir) does too
+MAX_IR = sys.float_info.max * IR_FLOOR / 2
 # the most uniforms one step of a run draws (n x d to scatter or move, n x rationality_rate
 # to rationalize): 40 MB of them
 MAX_DRAW = 5_000_000
@@ -102,7 +105,7 @@ class AlgorithmParams:
         # a run's history keeps one float per iteration, and fast_forward builds what is left
         # of it at once: MAX_DRAW of them take 40 MB
         check_fields(self, num_particles=(2, MAX_DRAW), max_iterations=(0, MAX_DRAW),
-                     initial_ir=IR_FLOOR, rationality_rate=0)
+                     initial_ir=IR_FLOOR, max_ir=(None, MAX_IR), rationality_rate=0)
         if self.initial_ir > self.max_ir:
             raise ConfigurationError(f"initial_ir must be at most max_ir ({self.max_ir}), "
                                      f"got {self.initial_ir}")
@@ -359,14 +362,19 @@ def balancing(state: SwarmState, params: AlgorithmParams) -> None:
 def initialize(params: AlgorithmParams, problem: ObjectiveProblem, seed: int) -> SwarmState:
     """Scatter particles uniformly in the box, evaluate them, reward the best.
 
-    ``seed`` is a non-negative integer, and the swarm at most ``MAX_DRAW`` coordinates.
+    ``seed`` is a non-negative integer, the swarm at most ``MAX_DRAW`` coordinates, and
+    a step finite: ``max_ir`` times the box's widest span, plus its largest bound's
+    magnitude, is at most the float maximum.
     """
     seed = checked("seed", seed, "int", least=0)
     n, d = params.num_particles, problem.dimension
     checked("num_particles * dimension", n * d, "int", most=MAX_DRAW)
-    rng = RandomStream(seed)
     lower = problem.lower_bounds
     span = problem.upper_bounds - lower
+    # Python floats, which overflow to inf without a warning
+    reach = params.max_ir * span.max().item() + np.abs([lower, problem.upper_bounds]).max().item()
+    checked("max_ir * span + largest |bound|", reach, "float")
+    rng = RandomStream(seed)
     state = SwarmState(
         pos=lower + rng.draw(n * d).reshape(n, d) * span,
         fit=np.full(n, math.inf),

@@ -182,16 +182,13 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     ``workers`` is an integer from 1 to ``MAX_WORKERS``.  Each entry's problem is built
     once, and the experiment's runs are one list of ``(problem, seed)`` pairs in
     (entry, seed) order.  At 1 worker, each run is one call of ``run``.  Above
-    1, with ``W = min(workers, runs)``, each task is the runs of one dimension,
-    which ``codoa.lockstep.run_many`` advances on one lockstep stack, giving
-    each run's result bit for bit.  With fewer dimensions than ``W``, each
-    dimension's runs are dealt alternately over ``ceil(W / dimensions)`` tasks,
-    so one entry's runs go out as runs 0, 2, 4, ... and 1, 3, 5, ... at 2
-    workers.  The tasks are queued largest first by runs x dimension, a proxy
-    for the rows a move evaluates, on a pool of ``min(W, tasks)`` processes that
-    later calls with as many processes reuse; each process takes the next task
-    as it frees up, so the load balances by cost.  Results go back to their
-    runs' places, so the report is identical to a serial execution.
+    1, :func:`codoa.lockstep.plan` deals the runs into tasks of one dimension
+    each, which ``codoa.lockstep.run_many`` advances on one lockstep stack, giving
+    each run's result bit for bit.  The tasks are queued in the plan's order,
+    largest first, on a pool of ``min(workers, tasks)`` processes that later
+    calls with as many processes reuse; each process takes the next task as it frees
+    up, so the load balances by cost.  Results go back to their runs' places, so the
+    report is identical to a serial execution.
     """
     workers = checked("workers", workers, "int", least=1, most=MAX_WORKERS)
     n = config.runs_per_entry
@@ -200,12 +197,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     runs = [(problem, seed) for problem in problems for seed in seeds]
     workers = min(workers, len(runs))
     if workers > 1:
-        by_dimension = {}  # dimension -> the indices of its runs
-        for i, (problem, _) in enumerate(runs):
-            by_dimension.setdefault(problem.dimension, []).append(i)
-        share = math.ceil(workers / len(by_dimension))  # tasks per dimension
-        tasks = [ix[k::share] for ix in by_dimension.values() for k in range(min(share, len(ix)))]
-        tasks.sort(key=lambda ix: len(ix) * runs[ix[0]][0].dimension, reverse=True)  # stable
+        from codoa.lockstep import plan  # only where a pool runs the tasks
+
+        tasks = plan(runs, workers)
         done = _pool_map(config.params, [[runs[i] for i in ix] for ix in tasks],
                          min(workers, len(tasks)))
         results = [None] * len(runs)

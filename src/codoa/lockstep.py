@@ -13,7 +13,9 @@ in the order ``run`` draws it.  A stack only iterates: it stops once some
 swarm has :func:`engine.collapsed`, and that swarm leaves it for
 :func:`engine.finish`, which fast-forwards it and makes its ``RunResult``
 there, so that it keeps no view of the stack; each stack is freed once the
-next, of the swarms still running, is built.
+next, of the swarms still running, is built.  Every swarm is checked before a
+stack is built, right after ``initialize`` too, so a collapsed one never enters
+a stack.
 
 A stack advances only while it holds at least ``MIN_STACK`` swarms; the rest,
 given arrays of their own, finish on :func:`engine.finish` too, which is
@@ -21,6 +23,9 @@ given arrays of their own, finish on :func:`engine.finish` too, which is
 iterations (2 vCPUs, medians of 41 alternating rounds), a stack of booth, beale
 and goldstein_price at d = 2 cost 0.95x their runs made one by one, 0.84x with
 mccormick, and 1.14x of booth and beale alone: three is the least that pays.
+
+``plan(runs, workers)`` is the stacking policy of an experiment: it deals its runs
+into tasks of one dimension, one ``run_many`` call each, for ``workers`` processes.
 """
 
 from __future__ import annotations
@@ -35,6 +40,24 @@ from codoa.engine import IR_FLOOR, AlgorithmParams, ConfigurationError, RunResul
 MIN_STACK = 3  # the fewest swarms a stack advances; fewer finish one by one
 
 
+def plan(runs, workers: int) -> list[list[int]]:
+    """The tasks for ``workers`` processes: lists of indices into the ``(problem, seed)``
+    pairs ``runs``, one :func:`run_many` call each.
+
+    Each dimension's runs make one task or, with fewer dimensions than ``W = min(workers,
+    len(runs))``, are dealt alternately over ``ceil(W / dimensions)`` tasks (runs 0, 2,
+    4, ... and 1, 3, 5, ... at W = 2).  Tasks go largest first by runs x dimension, a
+    proxy for the rows a move evaluates; the sort is stable.
+    """
+    by_dimension = {}  # dimension -> the indices of its runs
+    for i, (problem, _) in enumerate(runs):
+        by_dimension.setdefault(problem.dimension, []).append(i)
+    share = -(-min(workers, len(runs)) // len(by_dimension))  # ceil(W / dimensions) tasks each
+    tasks = [ix[k::share] for ix in by_dimension.values() for k in range(min(share, len(ix)))]
+    tasks.sort(key=lambda ix: len(ix) * runs[ix[0]][0].dimension, reverse=True)  # stable
+    return tasks
+
+
 def run_many(params: AlgorithmParams, runs) -> list[RunResult]:
     """``[run(params, problem, seed) for problem, seed in runs]``, for runs of one
     dimension, on one lockstep stack; runs of several dimensions are a ConfigurationError."""
@@ -46,13 +69,15 @@ def run_many(params: AlgorithmParams, runs) -> list[RunResult]:
     running = [(k, problem, engine.initialize(params, problem, seed))
                for k, (problem, seed) in enumerate(runs)]
     done = 0
-    while len(running) >= MIN_STACK and done < params.max_iterations:
-        done = _Stack(params, running).advance(done)
-        # finished where they leave (in a comprehension, which binds no state past it),
-        # the collapsed swarms keep no view of the stack
+    while True:
+        # the collapsed swarms finish before a stack is built of the rest (in a
+        # comprehension, which binds no state past it, so they keep no view of a stack)
         results.update({k: engine.finish(state, params, problem, done)
                         for k, problem, state in running if engine.collapsed(state, problem)})
         running = [swarm for swarm in running if swarm[0] not in results]
+        if len(running) < MIN_STACK or done == params.max_iterations:
+            break
+        done = _Stack(params, running).advance(done)
     for _, _, state in running:  # too few to stack, or at the end of the budget
         state.pos, state.fit, state.ir, state.ex = (  # their own arrays: the stack is freed
             state.pos.copy(), state.fit.copy(), state.ir.copy(), state.ex.copy())

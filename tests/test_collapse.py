@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codoa import engine
+from codoa import engine, lockstep
 from codoa.benchmarks import REGISTRY, make_problem
 from codoa.engine import (
     AlgorithmParams,
@@ -84,6 +84,28 @@ def test_swarms_collapsed_at_initialize_give_the_stepwise_results_in_lockstep():
     assert at_start == [True] * 4 + [False]
     assert run_many(params, [(SUB_ULP, s) for s in seeds]) == [
         stepwise(params, SUB_ULP, s) for s in seeds]
+
+
+def test_swarms_collapsed_at_initialize_never_enter_a_stack(monkeypatch):
+    built, iterated = [], []
+
+    def init(self, *args):
+        built.append(self)
+        original_init(self, *args)
+
+    def iterate_stack(self):
+        iterated.append(self)
+        original_iterate(self)
+
+    original_init, original_iterate = lockstep._Stack.__init__, lockstep._Stack.iterate
+    monkeypatch.setattr(lockstep._Stack, "__init__", init)
+    monkeypatch.setattr(lockstep._Stack, "iterate", iterate_stack)
+    params = AlgorithmParams(num_particles=2, max_iterations=30)
+    seeds = [8, 10, 17, 25]  # four: enough to stack, were they running
+    results = run_many(params, [(SUB_ULP, s) for s in seeds])
+    assert (len(built), len(iterated)) == (0, 0)
+    monkeypatch.undo()
+    assert results == [run(params, SUB_ULP, s) for s in seeds]
 
 
 @st.composite

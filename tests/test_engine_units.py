@@ -12,6 +12,7 @@ from codoa.benchmarks import MAX_DIMENSION, REGISTRY, make_problem
 from codoa.engine import (
     IR_FLOOR,
     MAX_DRAW,
+    MAX_IR,
     AlgorithmParams,
     ConfigurationError,
     ObjectiveProblem,
@@ -75,6 +76,7 @@ class TestAlgorithmParams:
         ("max_iterations", 0, -1, {}),
         ("max_iterations", MAX_DRAW, MAX_DRAW + 1, {}),
         ("initial_ir", IR_FLOOR, math.nextafter(IR_FLOOR, 0.0), {}),
+        ("max_ir", MAX_IR, math.nextafter(MAX_IR, math.inf), {}),
         ("rationality_rate", 0, -1, {}),
         # 50 particles: the product with num_particles is at MAX_DRAW, then past it
         ("rationality_rate", MAX_DRAW // 50, MAX_DRAW // 50 + 1, {}),
@@ -119,7 +121,7 @@ def _bits(value):
 def _clamp_cases(draw):
     """A valid ``max_ir``, ``ir`` and ``b`` within [IR_FLOOR, max_ir] (ends included),
     ``u`` in [0, 1)."""
-    top = draw(st.floats(min_value=IR_FLOOR, allow_infinity=False))
+    top = draw(st.floats(min_value=IR_FLOOR, max_value=MAX_IR))
     within = st.one_of(st.just(IR_FLOOR), st.just(top),
                        st.floats(min_value=IR_FLOOR, max_value=top))
     u = draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
@@ -137,8 +139,7 @@ class TestInteractivityClamps:
         params, ir, u, b = case
         lo, hi = IR_FLOOR, params.max_ir
         ir_a, u_a = np.array([ir]), np.array([u])
-        with np.errstate(over="ignore", invalid="ignore"):  # b / ir may overflow, 0 * inf is nan
-            boost, rational, decay = ir_a + u_a * ir_a, ir_a + u_a * (b / ir_a), u_a * ir_a
+        boost, rational, decay = ir_a + u_a * ir_a, ir_a + u_a * (b / ir_a), u_a * ir_a
         for capped in (boost, rational):
             assert _bits(np.minimum(capped, hi)) == _bits(np.minimum(np.maximum(capped, lo), hi))
         assert _bits(np.maximum(decay, lo)) == _bits(np.minimum(np.maximum(decay, lo), hi))
@@ -444,6 +445,17 @@ class TestInitialize:
         ]:
             with pytest.raises(ConfigurationError, match=r"^num_particles \* dimension"):
                 initialize(params, problem, seed=0)
+
+    def test_a_box_a_step_could_overflow_in_is_rejected_before_anything_is_drawn(
+            self, monkeypatch):
+        # at max_ir = 10, a step in [-h, h]^2 reaches 10 x 2h + h = 21h at most
+        state = initialize(AlgorithmParams(), box_problem([-8e306] * 2, [8e306] * 2,
+                                                          lambda x: 0.0), seed=0)
+        assert np.isfinite(state.pos).all()
+        monkeypatch.setattr(engine, "RandomStream", lambda seed: pytest.fail("a stream began"))
+        with pytest.raises(ConfigurationError, match=r"^max_ir \* span \+ largest \|bound\|"):
+            initialize(AlgorithmParams(), box_problem([-8e307] * 2, [8e307] * 2, lambda x: 0.0),
+                       seed=0)
 
     def test_initial_archive_is_swarm_minimum(self):
         state = initialize(AlgorithmParams(num_particles=20, max_iterations=1),

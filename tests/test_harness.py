@@ -17,7 +17,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from codoa import benchmarks, harness
 from codoa.benchmarks import REGISTRY, make_problem
@@ -33,6 +33,7 @@ from codoa.harness import (
     table2_grid,
     write_report,
 )
+from codoa.lockstep import plan
 
 from support import naive_mean, naive_median, naive_sample_stdev
 
@@ -241,107 +242,28 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError, match="workers"):
             run_experiment(small_config, workers=workers)
 
-    @pytest.mark.parametrize("entries, workers, tasks, processes", [
-        ((("booth", 2), ("sphere", 3)), 2, 2, 2),
-        ((("booth", 2), ("sphere", 3)), 7, 6, 6),  # 2 entries x 3 runs: 6 runs
-        ((("booth", 2), ("sphere", 3), ("sphere", 5)), 2, 3, 2),  # more tasks than workers
+    @pytest.mark.parametrize("entries, runs, workers, processes", [
+        (table2_grid().entries, 2, 2, 2),  # grid15's pooled pass: five tasks
+        (table2_grid().entries, 1, 2, 2),
+        (table2_grid().entries, 5, 2, 2),
+        ((("booth", 2),), 6, 2, 2),  # one dimension: dealt alternately over two tasks
+        ((("booth", 2), ("sphere", 3)), 5, 2, 2),
+        ((("booth", 2), ("sphere", 3)), 3, 7, 6),  # six runs: at most one process each
+        ((("booth", 2), ("sphere", 3)), 3, MAX_WORKERS, 6),
+        ((("booth", 2), ("sphere", 3), ("sphere", 5)), 3, 2, 2),  # more tasks than workers
+        ((("booth", 2), ("sphere", 3), ("beale", 2)), 2, 3, 3),
+        ((("booth", 2), ("sphere", 2), ("beale", 2)), 1, 2, 2),
     ])
-    def test_pool_holds_at_most_one_process_per_run(self, small_config, no_pool_yet,
-                                                     monkeypatch, entries, workers, tasks,
-                                                     processes):
-        sizes, sent = [], []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def map(self, fn, *iterables):
-                sent.append(len(iterables[1]))
-                return map(fn, *iterables)
-
-            def shutdown(self, wait=True):
-                pass
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
-        config = dataclasses.replace(small_config, entries=entries)
-        assert run_experiment(config, workers=workers) == run_experiment(config)
-        assert (sent, sizes) == ([tasks], [processes])
-
-    @pytest.mark.parametrize("entries, runs, workers, shape, processes", [
-        # grid15: one task per dimension, largest runs x dimension first; d = 2 holds 14 runs
-        (table2_grid().entries, 2, 2, [(30, 4), (20, 4), (10, 4), (2, 14), (5, 4)], 2),
-        (table2_grid().entries, 1, 2, [(30, 2), (20, 2), (10, 2), (2, 7), (5, 2)], 2),
-        (table2_grid().entries, 5, 2, [(30, 10), (20, 10), (10, 10), (2, 35), (5, 10)], 2),
-        # booth-2 and sphere-3 at 7 workers: each entry's 3 runs over ceil(7 / 2) tasks
-        ((("booth", 2), ("sphere", 3)), 3, 7, [(3, 1)] * 3 + [(2, 1)] * 3, 6),
-        ((("booth", 2), ("sphere", 3)), 3, MAX_WORKERS, [(3, 1)] * 3 + [(2, 1)] * 3, 6),
-    ])
-    def test_a_pooled_call_sends_one_task_per_dimension(self, tasks_sent, entries, runs, workers,
-                                                        shape, processes):
-        config = ExperimentConfig(entries=entries, runs_per_entry=runs,
-                                  params=AlgorithmParams(num_particles=4, max_iterations=2))
-        assert run_experiment(config, workers=workers) == run_experiment(config)
-        [sent] = tasks_sent
-        assert [(task[0][0].dimension, len(task)) for task in sent] == shape
-        assert harness._pool[0] == processes
-
-    @given(entries=st.lists(st.sampled_from(table2_grid().entries), min_size=1, max_size=15,
-                            unique=True),
-           runs=st.integers(1, 4), workers=st.integers(2, 5))
-    @settings(max_examples=40, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_pooled_tasks_partition_the_runs_by_dimension(self, tasks_sent, problems_built,
-                                                           entries, runs, workers):
-        config = ExperimentConfig(entries=tuple(entries), runs_per_entry=runs,
-                                  params=AlgorithmParams(num_particles=4, max_iterations=2))
-        calls, start = len(tasks_sent), len(problems_built)
-        pooled = run_experiment(config, workers=workers)
-        built = problems_built[start:start + len(entries)]
-        assert pooled == run_experiment(config)
-        if len(entries) * runs == 1:  # one run: no pool
-            assert len(tasks_sent) == calls
-            return
-        [sent] = tasks_sent[calls:]
-        entry = built.index  # problems compare by identity
-        dealt = sorted((entry(problem), seed) for task in sent for problem, seed in task)
-        assert dealt == [(k, seed) for k in range(len(entries)) for seed in range(1, runs + 1)]
-        dims = [{problem.dimension for problem, _ in task} for task in sent]
-        assert all(len(dim) == 1 for dim in dims)
-        assert harness._pool[0] == min(workers, len(sent))
-        costs = [len(task) * task[0][0].dimension for task in sent]
-        assert costs == sorted(costs, reverse=True)
-        share = -(-min(workers, len(entries) * runs) // len({dim for _, dim in entries}))
-        for (dim,) in map(tuple, dims):
-            runs_of_dim = runs * sum(d == dim for _, d in entries)
-            assert dims.count({dim}) == min(share, runs_of_dim)
-
-    @pytest.mark.parametrize("entries, runs, workers, layout", [
-        # one entry at 2 workers: runs[0::2] and runs[1::2], as booth2 and rosenbrock30 send
-        ((("booth", 2),), 6, 2, [[(0, 7), (0, 9), (0, 11)], [(0, 8), (0, 10), (0, 12)]]),
-        # two dimensions at 2 workers: one task each, sphere-3's 15 rows per swarm first
-        ((("booth", 2), ("sphere", 3)), 5, 2,
-         [[(1, 7), (1, 8), (1, 9), (1, 10), (1, 11)], [(0, 7), (0, 8), (0, 9), (0, 10), (0, 11)]]),
-        # two dimensions at 3 workers: each dimension's runs dealt alternately over 2 tasks
-        ((("booth", 2), ("sphere", 3), ("beale", 2)), 2, 3,
-         [[(0, 7), (2, 7)], [(0, 8), (2, 8)], [(1, 7)], [(1, 8)]]),
-        # one seed of three entries of one dimension at 2 workers: runs dealt alternately
-        ((("booth", 2), ("sphere", 2), ("beale", 2)), 1, 2, [[(0, 7), (2, 7)], [(1, 7)]]),
-    ])
-    def test_pooled_results_come_back_in_entry_and_seed_order(self, tasks_sent, monkeypatch,
-                                                              entries, runs, workers, layout):
-        built = []
-
-        def recorded_make_problem(name, dim):
-            built.append(make_problem(name, dim))
-            return built[-1]
-
-        monkeypatch.setattr(harness, "make_problem", recorded_make_problem)
+    def test_a_pooled_call_runs_the_plans_tasks_and_places_their_results(
+            self, tasks_sent, problems_built, entries, runs, workers, processes):
+        # the layouts themselves are pinned on lockstep.plan in test_lockstep.py
         config = ExperimentConfig(entries=entries, runs_per_entry=runs, base_seed=7,
                                   params=SMALL_PARAMS)
         pooled = run_experiment(config, workers=workers)
-        [sent] = tasks_sent
-        entry = built.index  # problems compare by identity
-        assert [[(entry(problem), seed) for problem, seed in task] for task in sent] == layout
+        built = problems_built[:len(entries)]  # the config builds none
+        pairs = [(problem, seed) for problem in built for seed in range(7, 7 + runs)]
+        assert tasks_sent == [[[pairs[i] for i in ix] for ix in plan(pairs, workers)]]
+        assert harness._pool[0] == processes
         assert pooled == run_experiment(config)
 
     def test_single_job_runs_without_a_pool(self, no_pool_yet, monkeypatch):

@@ -4,6 +4,8 @@ import dataclasses
 import gc
 import math
 import re
+import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -12,8 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from codoa import engine, lockstep
 from codoa.benchmarks import REGISTRY, make_problem
-from codoa.engine import IR_FLOOR, AlgorithmParams, ConfigurationError, run
-from codoa.lockstep import MIN_STACK, run_many
+from codoa.engine import IR_FLOOR, MAX_IR, AlgorithmParams, ConfigurationError, run
+from codoa.harness import MAX_WORKERS, table2_grid
+from codoa.lockstep import MIN_STACK, plan, run_many
 
 from support import box_problem
 
@@ -93,6 +96,74 @@ def test_run_many_equals_a_run_per_seed(num_particles, max_iterations, rationali
 def test_run_many_of_mixed_problems_equals_a_run_each(num_particles, max_iterations, runs):
     params = AlgorithmParams(num_particles=num_particles, max_iterations=max_iterations)
     same_runs(params, runs)
+
+
+def finite_everywhere(x):
+    """Finite at every point of every box; least where each coordinate is +-sqrt(3)."""
+    return float(np.cos(3.0 * np.arctan(x)).sum())
+
+
+def extreme_box(kind, dimension, max_ir, reach):
+    """``(lower, upper)``: ``[-h, h]`` with ``h`` at ``reach`` times the most that
+    ``max_ir`` allows (``max_ir * 2h + h`` at the float maximum), a box of adjacent floats
+    at 0 (a subnormal span, below one ulp of any normal number) or at 1, or the unit box."""
+    if kind == "widest":
+        h = reach * (sys.float_info.max / (2 * max_ir + 1))
+        return [-h] * dimension, [h] * dimension
+    if kind == "unit":
+        return [-1.0] * dimension, [1.0] * dimension
+    low = 0.0 if kind == "sub_ulp" else 1.0
+    return [low] * dimension, [math.nextafter(low, math.inf)] * dimension
+
+
+# the two configs found to overflow before max_ir was bounded: a boost of initial_ir = max_ir
+# = 1e308, and a step in a box of +-8e307 at max_ir = 10, now rejected; and one at MAX_IR
+@example(max_ir=1e308, at_max=True, kind="unit", reach=1.0, num_particles=5,
+         maturity_limit=3, rationality_rate=2, max_iterations=5, seeds=[3, 4, 5])
+@example(max_ir=10.0, at_max=False, kind="widest", reach=8e307 / (sys.float_info.max / 21),
+         num_particles=50, maturity_limit=3, rationality_rate=2, max_iterations=5, seeds=[1])
+@example(max_ir=MAX_IR, at_max=True, kind="unit", reach=1.0, num_particles=5,
+         maturity_limit=3, rationality_rate=2, max_iterations=40, seeds=[3, 4, 5])
+@given(
+    max_ir=st.sampled_from([10.0, MAX_IR]) | st.floats(MAX_IR / 4, 4 * MAX_IR),
+    at_max=st.booleans(),  # initial_ir = max_ir, else 0.5
+    kind=st.sampled_from(["widest", "sub_ulp", "one_ulp", "unit"]),
+    reach=st.just(1.0) | st.floats(0.25, 4.0),
+    num_particles=st.just(2) | st.integers(2, 6),
+    maturity_limit=st.sampled_from([3, 2**63, 10**30]),
+    rationality_rate=st.integers(0, 3),
+    max_iterations=st.integers(0, 40),
+    seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_extreme_valid_settings_run_clean_and_the_rest_are_rejected(
+        max_ir, at_max, kind, reach, num_particles, maturity_limit, rationality_rate,
+        max_iterations, seeds):
+    lower, upper = extreme_box(kind, 2, max_ir, reach)
+    span, bound = upper[0] - lower[0], max(abs(lower[0]), abs(upper[0]))
+    valid = max_ir <= MAX_IR and max_ir * span + bound <= sys.float_info.max
+    rejected = None
+    # every warning an error, and numpy's overflow, division and invalid value raise;
+    # underflow stays ignored, numpy's default: drawing in a box of subnormal span underflows
+    with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+        warnings.simplefilter("error")
+        try:
+            params = AlgorithmParams(
+                num_particles=num_particles, max_iterations=max_iterations,
+                initial_ir=max_ir if at_max else 0.5, max_ir=max_ir,
+                maturity_limit=maturity_limit, rationality_rate=rationality_rate)
+            problem = box_problem(lower, upper, finite_everywhere)
+            runs = [(problem, seed) for seed in seeds]
+            many = run_many(params, runs)
+            solo = [run(params, problem, seed) for problem, seed in runs]
+        except ConfigurationError as exc:
+            rejected = str(exc)
+    if not valid:
+        assert rejected is not None and rejected.startswith("max_ir")
+        return
+    assert rejected is None
+    assert many == solo
+    assert all(not math.isnan(r.best_fitness) and r.best_fitness > -math.inf for r in many)
 
 
 def test_seeds_that_collapse_at_different_iterations_leave_the_stack_one_by_one(monkeypatch):
@@ -339,3 +410,57 @@ def test_swarms_too_few_to_stack_keep_no_view_of_the_last_stack(monkeypatch):
     assert alive == [False, False]
     monkeypatch.undo()
     assert results == [run(params, problem, seed) for problem, seed in runs]
+
+
+GRID15 = table2_grid().entries
+
+
+def planned(entries, runs, workers):
+    """An experiment's ``(problem, seed)`` pairs, in (entry, seed) order, and their plan."""
+    pairs = [(make_problem(name, dim), seed) for name, dim in entries for seed in range(runs)]
+    return pairs, plan(pairs, workers)
+
+
+@pytest.mark.parametrize("entries, runs, workers, shape", [
+    # grid15: one task per dimension, largest runs x dimension first; d = 2 holds 14 runs
+    (GRID15, 2, 2, [(30, 4), (20, 4), (10, 4), (2, 14), (5, 4)]),
+    (GRID15, 1, 2, [(30, 2), (20, 2), (10, 2), (2, 7), (5, 2)]),
+    (GRID15, 5, 2, [(30, 10), (20, 10), (10, 10), (2, 35), (5, 10)]),
+    # booth-2 and sphere-3: each entry's 3 runs over ceil(min(W, 6) / 2) tasks
+    ((("booth", 2), ("sphere", 3)), 3, 7, [(3, 1)] * 3 + [(2, 1)] * 3),
+    ((("booth", 2), ("sphere", 3)), 3, MAX_WORKERS, [(3, 1)] * 3 + [(2, 1)] * 3),
+])
+def test_plan_makes_tasks_of_one_dimension_largest_first(entries, runs, workers, shape):
+    pairs, tasks = planned(entries, runs, workers)
+    assert [(pairs[ix[0]][0].dimension, len(ix)) for ix in tasks] == shape
+
+
+@pytest.mark.parametrize("entries, runs, workers, tasks", [
+    # one entry at 2 workers: runs[0::2] and runs[1::2], as booth2 and rosenbrock30 send
+    ((("booth", 2),), 6, 2, [[0, 2, 4], [1, 3, 5]]),
+    # two dimensions at 2 workers: one task each, sphere-3's 15 rows per swarm first
+    ((("booth", 2), ("sphere", 3)), 5, 2, [[5, 6, 7, 8, 9], [0, 1, 2, 3, 4]]),
+    # two dimensions at 3 workers: each dimension's runs dealt alternately over 2 tasks
+    ((("booth", 2), ("sphere", 3), ("beale", 2)), 2, 3, [[0, 4], [1, 5], [2], [3]]),
+    # one seed of three entries of one dimension at 2 workers: runs dealt alternately
+    ((("booth", 2), ("sphere", 2), ("beale", 2)), 1, 2, [[0, 2], [1]]),
+    # one worker: one task per dimension, all its runs in order; 4 x 2 rows before 2 x 3
+    ((("booth", 2), ("sphere", 3), ("beale", 2)), 2, 1, [[0, 1, 4, 5], [2, 3]]),
+])
+def test_plan_deals_each_dimensions_runs_alternately(entries, runs, workers, tasks):
+    assert planned(entries, runs, workers)[1] == tasks
+
+
+@given(entries=st.lists(st.sampled_from(GRID15), min_size=1, max_size=15, unique=True),
+       runs=st.integers(1, 4), workers=st.integers(1, MAX_WORKERS))
+@settings(max_examples=200, deadline=None)
+def test_plan_partitions_the_runs_into_tasks_of_one_dimension(entries, runs, workers):
+    pairs, tasks = planned(entries, runs, workers)
+    assert sorted(i for ix in tasks for i in ix) == list(range(len(pairs)))
+    dims = [{pairs[i][0].dimension for i in ix} for ix in tasks]
+    assert all(len(dim) == 1 for dim in dims)
+    costs = [len(ix) * pairs[ix[0]][0].dimension for ix in tasks]
+    assert costs == sorted(costs, reverse=True)
+    share = -(-min(workers, len(pairs)) // len({dim for _, dim in entries}))
+    for (dim,) in map(tuple, dims):
+        assert dims.count({dim}) == min(share, runs * sum(d == dim for _, d in entries))
