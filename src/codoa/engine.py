@@ -454,13 +454,13 @@ def run(params: AlgorithmParams, problem: ObjectiveProblem, seed: int) -> RunRes
     return finish(initialize(params, problem, seed), params, problem)
 
 
-def finish(state: SwarmState, params: AlgorithmParams, problem: ObjectiveProblem,
-           done: int = 0) -> RunResult:
-    """Iterate ``state``, ``done`` iterations into its run, on to the budget, and give
-    its ``RunResult``; from the first iteration at which the swarm has :func:`collapsed`
-    (the 0th, right after :func:`initialize`, too), :func:`fast_forward` finishes the
-    budget, as iterating would, bit for bit."""
-    for done in range(done, params.max_iterations):
+def finish(state: SwarmState, params: AlgorithmParams, problem: ObjectiveProblem) -> RunResult:
+    """Iterate ``state`` on from the iterations its ``history`` holds to the budget, and
+    give its ``RunResult``; from the first iteration at which the swarm has
+    :func:`collapsed` (the 0th, right after :func:`initialize`, too), :func:`fast_forward`
+    finishes the budget, as iterating would, bit for bit.  A stopped lockstep stack hands
+    every swarm back with arrays of its own, so none finishes here on a view of one."""
+    for done in range(len(state.history), params.max_iterations):
         if collapsed(state, problem):
             fast_forward(state, params.max_iterations - done)
             break

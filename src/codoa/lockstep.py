@@ -5,21 +5,22 @@ seed in runs]``, bit for bit, at a lower cost per run: at small swarms most of
 the engine's cost is per-call overhead, which one set of array calls over the
 stacked swarms shares.  The runs, all of one dimension, go on one stack
 whatever their problems.  It holds the only copy of its swarms (each
-``SwarmState``'s arrays are its rows of the stack's once it is built), steps
+``SwarmState``'s arrays are its rows of the stack's until it stops), steps
 every moved row in one :func:`engine.step`, each in its own problem's box, and
 evaluates each stretch of adjacent swarms on one problem in one
 :func:`engine.fitness_of` call.  Each swarm keeps its own random stream, drawn
-in the order ``run`` draws it.  A stack only iterates: it stops once some
-swarm has :func:`engine.collapsed`, and that swarm leaves it for
-:func:`engine.finish`, which fast-forwards it and makes its ``RunResult``
-there, so that it keeps no view of the stack; each stack is freed once the
-next, of the swarms still running, is built.  Every swarm is checked before a
-stack is built, right after ``initialize`` too, so a collapsed one never enters
-a stack.
+in the order ``run`` draws it.  A stack only iterates: it stops at the budget
+or once some swarm has :func:`engine.collapsed`, and then hands every swarm
+back whole, with arrays of its own, so that the stack is freed and no swarm
+keeps a view of it.  A collapsed swarm goes to :func:`engine.finish`, which
+fast-forwards it and makes its ``RunResult``; the rest go on the next stack.
+Every swarm is checked before a stack is built, right after ``initialize``
+too, so a collapsed one never enters a stack.
 
-A stack advances only while it holds at least ``MIN_STACK`` swarms; the rest,
-given arrays of their own, finish on :func:`engine.finish` too, which is
-``run``'s own loop, so every ``RunResult`` is made there.  At 50 particles x 50
+A stack advances only while it holds at least ``MIN_STACK`` swarms; the rest
+finish on :func:`engine.finish` too, which is ``run``'s own loop and iterates
+on from as many iterations as a swarm's ``history`` holds, so every
+``RunResult`` is made there.  At 50 particles x 50
 iterations (2 vCPUs, medians of 41 alternating rounds), a stack of booth, beale
 and goldstein_price at d = 2 cost 0.95x their runs made one by one, 0.84x with
 mccormick, and 1.14x of booth and beale alone: three is the least that pays.
@@ -49,6 +50,8 @@ def plan(runs, workers: int) -> list[list[int]]:
     4, ... and 1, 3, 5, ... at W = 2).  Tasks go largest first by runs x dimension, a
     proxy for the rows a move evaluates; the sort is stable.
     """
+    if not runs:
+        return []
     by_dimension = {}  # dimension -> the indices of its runs
     for i, (problem, _) in enumerate(runs):
         by_dimension.setdefault(problem.dimension, []).append(i)
@@ -68,22 +71,14 @@ def run_many(params: AlgorithmParams, runs) -> list[RunResult]:
     results = {}
     running = [(k, problem, engine.initialize(params, problem, seed))
                for k, (problem, seed) in enumerate(runs)]
-    done = 0
     while True:
-        # the collapsed swarms finish before a stack is built of the rest (in a
-        # comprehension, which binds no state past it, so they keep no view of a stack)
-        results.update({k: engine.finish(state, params, problem, done)
+        results.update({k: engine.finish(state, params, problem)
                         for k, problem, state in running if engine.collapsed(state, problem)})
         running = [swarm for swarm in running if swarm[0] not in results]
-        if len(running) < MIN_STACK or done == params.max_iterations:
+        if len(running) < MIN_STACK or len(running[0][2].history) == params.max_iterations:
             break
-        done = _Stack(params, running).advance(done)
-    for _, _, state in running:  # too few to stack, or at the end of the budget
-        state.pos, state.fit, state.ir, state.ex = (  # their own arrays: the stack is freed
-            state.pos.copy(), state.fit.copy(), state.ir.copy(), state.ex.copy())
-        state.global_best_position = state.global_best_position.copy()
-    results.update({k: engine.finish(state, params, problem, done)
-                    for k, problem, state in running})
+        _Stack(params, running).advance()
+    results.update({k: engine.finish(state, params, problem) for k, problem, state in running})
     return [results[k] for k in range(len(runs))]
 
 
@@ -112,7 +107,7 @@ class _Stack:
         self.first = np.arange(len(states)) * n  # row of each swarm's particle 0
         self.swarm_of = np.repeat(np.arange(len(states)), n)
         self.everyone = np.ones(len(states) * n, dtype=bool)
-        for r, s in enumerate(states):  # the stack's rows are from now on the swarm's arrays
+        for r, s in enumerate(states):  # its rows are the swarm's arrays until advance hands it back
             rows = slice(r * n, (r + 1) * n)
             s.pos, s.fit, s.ir, s.ex = self.pos[rows], self.fit[rows], self.ir[rows], self.ex[rows]
             s.global_best_position = self.best_pos[r]
@@ -130,19 +125,20 @@ class _Stack:
                                          self.holder.tolist(), self.evals.tolist()):
             s.global_best_fitness, s.best_holder_index, s.eval_count = fit, holder, evals
 
-    def advance(self, done: int) -> int:
-        """Iterate on from ``done`` iterations until the budget, or until some swarm has
-        :func:`engine.collapsed`; write every swarm back, and return the new count."""
-        while done < self.params.max_iterations:
+    def advance(self) -> None:
+        """Iterate on until the budget, or until some swarm has :func:`engine.collapsed`; then
+        hand every swarm back whole, with arrays of its own, so that the stack is freed."""
+        for _ in range(len(self.states[0].history), self.params.max_iterations):
             self.iterate()
-            done += 1
             # a swarm whose fitnesses all equal its best may have collapsed
             if (self.fit.reshape(-1, self.n).max(axis=1) == self.best_fit).any():
                 self.unstack()
                 if any(engine.collapsed(state, problem) for _, problem, state in self.swarms):
-                    return done
+                    break
         self.unstack()
-        return done
+        for s in self.states:
+            s.pos, s.fit, s.ir, s.ex = s.pos.copy(), s.fit.copy(), s.ir.copy(), s.ex.copy()
+            s.global_best_position = s.global_best_position.copy()
 
     def counts(self, mask: np.ndarray) -> np.ndarray:
         """How many rows of each swarm ``mask`` holds."""

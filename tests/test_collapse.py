@@ -64,6 +64,17 @@ def test_run_equals_the_stepwise_loop(monkeypatch, name):
             assert calls < params.max_iterations  # these swarms collapse by ~260 iterations
 
 
+@pytest.mark.parametrize("by_hand", [0, 3, 20])
+def test_finish_iterates_from_the_swarms_history_to_the_budget(by_hand):
+    params, problem = AlgorithmParams(max_iterations=20), make_problem("booth")
+    state = initialize(params, problem, 1)
+    for _ in range(by_hand):
+        iterate(state, params, problem)
+    result = engine.finish(state, params, problem)
+    assert len(result.best_per_iteration) == params.max_iterations
+    assert result == run(params, problem, 1)
+
+
 # a box narrower than one ulp: every coordinate drawn in it is 0 or 5e-324, and at N = 2
 # seeds 8, 10, 17, 25, 31 and 34 scatter both particles on one point
 SUB_ULP = box_problem([0.0, 0.0], [5e-324, 5e-324], lambda x: float(x.sum()))

@@ -272,6 +272,23 @@ def test_runs_of_two_dimensions_are_rejected_before_any_swarm_is_initialized(run
 
 def test_no_runs_make_no_results():
     assert run_many(AlgorithmParams(), []) == []
+    assert plan([], 1) == plan([], MAX_WORKERS) == []
+
+
+@pytest.mark.parametrize("max_iterations", [0, 1, 2])
+def test_a_budget_that_builds_no_stack_or_stops_one_is_kept(max_iterations, monkeypatch):
+    stacks = []
+
+    def init(self, *args):
+        stacks.append(self)
+        original_init(self, *args)
+
+    original_init = lockstep._Stack.__init__
+    monkeypatch.setattr(lockstep._Stack, "__init__", init)
+    params = AlgorithmParams(max_iterations=max_iterations)
+    runs = [(BOOTH, seed) for seed in range(4)]
+    same_runs(params, runs)
+    assert len(stacks) == min(max_iterations, 1)  # 0 builds none; the budget stops the one
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True])
@@ -360,9 +377,10 @@ def test_swarms_that_go_flat_without_collapsing_stay_on_one_stack(monkeypatch):
 def test_swarms_fewer_than_min_stack_finish_on_runs_own_loop(monkeypatch):
     finished = []
 
-    def finish(state, params, problem, done):
-        finished.append((problem, state.rng.seed, done, engine.collapsed(state, problem)))
-        return original(state, params, problem, done)
+    def finish(state, params, problem):
+        finished.append((problem, state.rng.seed, len(state.history),
+                         engine.collapsed(state, problem)))
+        return original(state, params, problem)
 
     original = engine.finish
     monkeypatch.setattr(engine, "finish", finish)
@@ -387,18 +405,18 @@ def test_swarms_fewer_than_min_stack_finish_on_runs_own_loop(monkeypatch):
 
 def test_swarms_too_few_to_stack_keep_no_view_of_the_last_stack(monkeypatch):
     arrays = []  # weak references to the arrays of the last stack built
-    alive = []  # for each swarm finished without having collapsed, whether any was alive
+    finished = []  # for each swarm finished, whether it had collapsed and any was alive
 
     def init(self, *args):
         original_init(self, *args)
         arrays[:] = [weakref.ref(getattr(self, name))
                      for name in ("pos", "fit", "ir", "ex", "best_pos")]
 
-    def finish(state, params, problem, done):
-        if not engine.collapsed(state, problem):
-            gc.collect()
-            alive.append(any(ref() is not None for ref in arrays))
-        return original_finish(state, params, problem, done)
+    def finish(state, params, problem):
+        gc.collect()
+        finished.append((engine.collapsed(state, problem),
+                         any(ref() is not None for ref in arrays)))
+        return original_finish(state, params, problem)
 
     original_init, original_finish = lockstep._Stack.__init__, engine.finish
     monkeypatch.setattr(lockstep._Stack, "__init__", init)
@@ -406,8 +424,9 @@ def test_swarms_too_few_to_stack_keep_no_view_of_the_last_stack(monkeypatch):
     params = AlgorithmParams(num_particles=12, max_iterations=300)
     runs = [(BOOTH, seed) for seed in range(12)]
     results = run_many(params, runs)
-    # the swarms collapse one by one until two are left, which finish off the stack
-    assert alive == [False, False]
+    # the swarms collapse one by one until two are left, which finish off the stack; a
+    # stopped stack hands every swarm back whole, so none reaches finish with a view of it
+    assert finished == [(True, False)] * 10 + [(False, False)] * 2
     monkeypatch.undo()
     assert results == [run(params, problem, seed) for problem, seed in runs]
 
