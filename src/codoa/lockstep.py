@@ -3,24 +3,22 @@
 ``run_many(params, runs)`` gives ``[run(params, problem, seed) for problem,
 seed in runs]``, bit for bit, at a lower cost per run: at small swarms most of
 the engine's cost is per-call overhead, which one set of array calls over the
-stacked swarms shares.  The runs, all of one dimension, go on one stack
-whatever their problems.  It holds the only copy of its swarms (each
+stacked swarms shares.  It holds the runs as ``(problem, state)`` swarms from
+``initialize`` on.  While at least ``MIN_STACK`` of them have not
+:func:`engine.collapsed` and the budget is not spent, those go on one stack
+whatever their problems.  A stack holds the only copy of its swarms (each
 ``SwarmState``'s arrays are its rows of the stack's until it stops), steps
 every moved row in one :func:`engine.step`, each in its own problem's box, and
 evaluates each stretch of adjacent swarms on one problem in one
 :func:`engine.fitness_of` call.  Each swarm keeps its own random stream, drawn
 in the order ``run`` draws it.  A stack only iterates: it stops at the budget
-or once some swarm has :func:`engine.collapsed`, and then hands every swarm
-back whole, with arrays of its own, so that the stack is freed and no swarm
-keeps a view of it.  A collapsed swarm goes to :func:`engine.finish`, which
-fast-forwards it and makes its ``RunResult``; the rest go on the next stack.
+or once some swarm has collapsed, and then hands every swarm back whole, with
+arrays of its own, so that the stack is freed and no swarm keeps a view of it.
 Every swarm is checked before a stack is built, right after ``initialize``
-too, so a collapsed one never enters a stack.
-
-A stack advances only while it holds at least ``MIN_STACK`` swarms; the rest
-finish on :func:`engine.finish` too, which is ``run``'s own loop and iterates
-on from as many iterations as a swarm's ``history`` holds, so every
-``RunResult`` is made there.  At 50 particles x 50
+too, so a collapsed one never enters a stack.  Then every run, in run order,
+ends in :func:`engine.finish`, ``run``'s own loop, which iterates on from as
+many iterations as a swarm's ``history`` holds and fast-forwards a collapsed
+one, so every ``RunResult`` is made there.  At 50 particles x 50
 iterations (2 vCPUs, medians of 41 alternating rounds), a stack of booth, beale
 and goldstein_price at d = 2 cost 0.95x their runs made one by one, 0.84x with
 mccormick, and 1.14x of booth and beale alone: three is the least that pays.
@@ -36,7 +34,7 @@ from itertools import groupby
 import numpy as np
 
 from codoa import engine
-from codoa.engine import IR_FLOOR, AlgorithmParams, ConfigurationError, RunResult
+from codoa.engine import IR_FLOOR, AlgorithmParams, ConfigurationError, RunResult, checked
 
 MIN_STACK = 3  # the fewest swarms a stack advances; fewer finish one by one
 
@@ -50,6 +48,7 @@ def plan(runs, workers: int) -> list[list[int]]:
     4, ... and 1, 3, 5, ... at W = 2).  Tasks go largest first by runs x dimension, a
     proxy for the rows a move evaluates; the sort is stable.
     """
+    checked("workers", workers, "int", least=1)
     if not runs:
         return []
     by_dimension = {}  # dimension -> the indices of its runs
@@ -68,30 +67,24 @@ def run_many(params: AlgorithmParams, runs) -> list[RunResult]:
     dimensions = sorted({problem.dimension for problem, _ in runs})
     if len(dimensions) > 1:
         raise ConfigurationError(f"runs must be of one dimension, got dimensions {dimensions}")
-    results = {}
-    running = [(k, problem, engine.initialize(params, problem, seed))
-               for k, (problem, seed) in enumerate(runs)]
-    while True:
-        results.update({k: engine.finish(state, params, problem)
-                        for k, problem, state in running if engine.collapsed(state, problem)})
-        running = [swarm for swarm in running if swarm[0] not in results]
-        if len(running) < MIN_STACK or len(running[0][2].history) == params.max_iterations:
-            break
-        _Stack(params, running).advance()
-    results.update({k: engine.finish(state, params, problem) for k, problem, state in running})
-    return [results[k] for k in range(len(runs))]
+    swarms = [(problem, engine.initialize(params, problem, seed)) for problem, seed in runs]
+    live = [(problem, s) for problem, s in swarms if not engine.collapsed(s, problem)]
+    while len(live) >= MIN_STACK and len(live[0][1].history) < params.max_iterations:
+        _Stack(params, live).advance()
+        live = [(problem, s) for problem, s in live if not engine.collapsed(s, problem)]
+    return [engine.finish(state, params, problem) for problem, state in swarms]
 
 
 class _Stack:
-    """The ``(k, problem, state)`` swarms of runs ``k``, all of one dimension, as flat
-    arrays: rows ``r * N`` to ``r * N + N - 1`` of ``pos``, ``fit``, ``ir`` and ``ex``
-    are swarm ``r``'s particles, and ``best_pos``, ``best_fit``, ``holder``, ``evals``,
-    ``lower`` and ``upper`` (its problem's box) hold one entry per swarm.
+    """The ``(problem, state)`` swarms, all of one dimension, as flat arrays: rows
+    ``r * N`` to ``r * N + N - 1`` of ``pos``, ``fit``, ``ir`` and ``ex`` are swarm
+    ``r``'s particles, and ``best_pos``, ``best_fit``, ``holder``, ``evals``, ``lower``
+    and ``upper`` (its problem's box) hold one entry per swarm.
     """
 
     def __init__(self, params: AlgorithmParams, swarms) -> None:
         self.params, self.swarms = params, swarms
-        self.states = states = [s for _, _, s in swarms]
+        self.states = states = [s for _, s in swarms]
         self.rngs = [s.rng for s in states]
         self.n = n = params.num_particles
         self.pos = np.concatenate([s.pos for s in states])
@@ -102,8 +95,8 @@ class _Stack:
         self.best_fit = np.array([s.global_best_fitness for s in states])
         self.holder = np.array([s.best_holder_index for s in states])  # within its swarm
         self.evals = np.array([s.eval_count for s in states])
-        self.lower = np.stack([problem.lower_bounds for _, problem, _ in swarms])
-        self.upper = np.stack([problem.upper_bounds for _, problem, _ in swarms])
+        self.lower = np.stack([problem.lower_bounds for problem, _ in swarms])
+        self.upper = np.stack([problem.upper_bounds for problem, _ in swarms])
         self.first = np.arange(len(states)) * n  # row of each swarm's particle 0
         self.swarm_of = np.repeat(np.arange(len(states)), n)
         self.everyone = np.ones(len(states) * n, dtype=bool)
@@ -113,7 +106,7 @@ class _Stack:
             s.global_best_position = self.best_pos[r]
         # the problem of each stretch of adjacent swarms on one, and the row after it
         # (problems compare by identity)
-        adjacent = groupby(problem for _, problem, _ in swarms)
+        adjacent = groupby(problem for problem, _ in swarms)
         groups = [(problem, len(list(group))) for problem, group in adjacent]
         self.problems = [problem for problem, _ in groups]
         self.ends = np.cumsum([count for _, count in groups]) * n
@@ -133,7 +126,7 @@ class _Stack:
             # a swarm whose fitnesses all equal its best may have collapsed
             if (self.fit.reshape(-1, self.n).max(axis=1) == self.best_fit).any():
                 self.unstack()
-                if any(engine.collapsed(state, problem) for _, problem, state in self.swarms):
+                if any(engine.collapsed(state, problem) for problem, state in self.swarms):
                     break
         self.unstack()
         for s in self.states:

@@ -223,11 +223,10 @@ def test_repeated_seeds_and_order_are_kept():
 def test_a_stack_holds_the_only_copy_of_its_swarms():
     params = AlgorithmParams(num_particles=5, max_iterations=10)
     runs = [(BOOTH, 1), (TABLE2_D2["beale"], 2), (BOOTH, 3)]
-    swarms = [(k, problem, engine.initialize(params, problem, seed))
-              for k, (problem, seed) in enumerate(runs)]
+    swarms = [(problem, engine.initialize(params, problem, seed)) for problem, seed in runs]
     stack = lockstep._Stack(params, swarms)
     for when in ("built", "iterated"):
-        for r, (_, _, state) in enumerate(swarms):
+        for r, (_, state) in enumerate(swarms):
             rows = slice(r * 5, r * 5 + 5)
             for name in ("pos", "fit", "ir", "ex"):
                 assert np.shares_memory(getattr(state, name), getattr(stack, name)[rows]), (
@@ -273,6 +272,12 @@ def test_runs_of_two_dimensions_are_rejected_before_any_swarm_is_initialized(run
 def test_no_runs_make_no_results():
     assert run_many(AlgorithmParams(), []) == []
     assert plan([], 1) == plan([], MAX_WORKERS) == []
+
+
+@pytest.mark.parametrize("workers", [0, -1, 2.5, True, "2"])
+def test_plan_rejects_a_bad_worker_count_naming_it(workers):
+    with pytest.raises(ConfigurationError, match="^workers must be"):
+        plan([(BOOTH, 1), (BOOTH, 2)], workers)
 
 
 @pytest.mark.parametrize("max_iterations", [0, 1, 2])
@@ -328,7 +333,7 @@ def test_a_move_makes_one_objective_call_per_problem_it_moves(monkeypatch):
     def move(stack, mask):
         before = calls()
         original(stack, mask)
-        moved = {stack.swarms[r][1] for r in stack.swarm_of[mask].tolist()}
+        moved = {stack.swarms[r][0] for r in stack.swarm_of[mask].tolist()}
         moves.append(([after - b for after, b in zip(calls(), before)],
                       [int(p in moved) for p in problems]))
 
@@ -389,11 +394,11 @@ def test_swarms_fewer_than_min_stack_finish_on_runs_own_loop(monkeypatch):
     run_many(params, runs)
     run_many(params, [(SPHERE3, 7)])
     assert MIN_STACK == 3
-    # every swarm ends in finish: of the four, the first booth swarm to collapse leaves
-    # three, the second two, which finish from there without having collapsed; a swarm
-    # alone finishes from the start
+    # every swarm ends in finish, in run order: of the four, the first booth swarm to
+    # collapse leaves three, the second two, which finish from there without having
+    # collapsed; a swarm alone finishes from the start
     *stacked, alone = finished
-    assert len(stacked) == 4
+    assert [call[:2] for call in stacked] == runs
     pair = [call[:3] for call in stacked if not call[3]]
     assert alone == (SPHERE3, 7, 0, False)
     assert len(pair) == 2 and pair[0][2] == pair[1][2] and 0 < pair[0][2] < 300
@@ -405,7 +410,7 @@ def test_swarms_fewer_than_min_stack_finish_on_runs_own_loop(monkeypatch):
 
 def test_swarms_too_few_to_stack_keep_no_view_of_the_last_stack(monkeypatch):
     arrays = []  # weak references to the arrays of the last stack built
-    finished = []  # for each swarm finished, whether it had collapsed and any was alive
+    finished = []  # for each swarm finished, its seed, whether it had collapsed and any was alive
 
     def init(self, *args):
         original_init(self, *args)
@@ -414,7 +419,7 @@ def test_swarms_too_few_to_stack_keep_no_view_of_the_last_stack(monkeypatch):
 
     def finish(state, params, problem):
         gc.collect()
-        finished.append((engine.collapsed(state, problem),
+        finished.append((state.rng.seed, engine.collapsed(state, problem),
                          any(ref() is not None for ref in arrays)))
         return original_finish(state, params, problem)
 
@@ -426,7 +431,53 @@ def test_swarms_too_few_to_stack_keep_no_view_of_the_last_stack(monkeypatch):
     results = run_many(params, runs)
     # the swarms collapse one by one until two are left, which finish off the stack; a
     # stopped stack hands every swarm back whole, so none reaches finish with a view of it
-    assert finished == [(True, False)] * 10 + [(False, False)] * 2
+    assert [seed for seed, _, _ in finished] == list(range(12))  # in run order
+    assert sorted(call[1:] for call in finished) == [(False, False)] * 2 + [(True, False)] * 10
+    monkeypatch.undo()
+    assert results == [run(params, problem, seed) for problem, seed in runs]
+
+
+# a box narrower than one ulp: every coordinate drawn in it is 0 or 5e-324, and at N = 2
+# seeds 8, 10, 17 and 25 scatter both particles on one point
+SUB_ULP = box_problem([0.0, 0.0], [5e-324, 5e-324], lambda x: float(x.sum()))
+
+
+@pytest.mark.parametrize("num_particles, max_iterations, runs, at_initialize", [
+    # the swarms collapse one by one, mid-stack, until two are left, too few to stack
+    (12, 300, [(BOOTH, seed) for seed in range(12)], []),
+    # four swarms have collapsed at initialize and never enter a stack; the second stack
+    # leaves the last swarm alone
+    (2, 30, [(SUB_ULP, seed) for seed in range(28)], [8, 10, 17, 25]),
+], ids=["booth", "sub-ulp"])
+def test_every_run_ends_in_one_finish_in_run_order_with_no_stack_left(
+        num_particles, max_iterations, runs, at_initialize, monkeypatch):
+    arrays = []  # weak references to the arrays of every stack built
+    finished = []  # (problem, seed, iterations, collapsed) of each swarm finished
+    reachable = []  # for each swarm finished, how many of those arrays were alive
+
+    def init(self, *args):
+        original_init(self, *args)
+        arrays.extend(weakref.ref(getattr(self, name))
+                      for name in ("pos", "fit", "ir", "ex", "best_pos"))
+
+    def finish(state, params, problem):
+        gc.collect()
+        reachable.append(sum(ref() is not None for ref in arrays))
+        finished.append((problem, state.rng.seed, len(state.history),
+                         engine.collapsed(state, problem)))
+        return original_finish(state, params, problem)
+
+    original_init, original_finish = lockstep._Stack.__init__, engine.finish
+    monkeypatch.setattr(lockstep._Stack, "__init__", init)
+    monkeypatch.setattr(engine, "finish", finish)
+    params = AlgorithmParams(num_particles=num_particles, max_iterations=max_iterations)
+    results = run_many(params, runs)
+    assert [call[:2] for call in finished] == runs  # one call per run, in run order
+    assert len(arrays) >= 2 * 5 and reachable == [0] * len(runs)  # two stacks or more, freed
+    assert [seed for _, seed, done, _ in finished if done == 0] == at_initialize
+    mid_stack = [seed for _, seed, done, gone in finished if gone and 0 < done < max_iterations]
+    left = [seed for _, seed, done, gone in finished if not gone and done < max_iterations]
+    assert len(mid_stack) >= 10 and 0 < len(left) < MIN_STACK
     monkeypatch.undo()
     assert results == [run(params, problem, seed) for problem, seed in runs]
 
