@@ -8,10 +8,11 @@ at zero.  Each iteration applies a fixed sequence of phases that grow,
 decay, and redistribute interactivity while particles drift toward the
 archived global best.  Minimization only; to maximize f, minimize -f.
 
-The swarm is held as arrays with a row per particle (see :class:`SwarmState`),
-and each phase is a few masked array expressions.  Random factors are drawn
-in particle order, one ``draw(k)`` per step that needs ``k`` of them (the
-repeated rationalizing boosts are one step).
+The swarm is held as arrays with a row per particle (see :class:`SwarmState`), and
+each phase is a few masked array expressions on operands of one shape or 0-d, as a
+ufunc call on ~50 elements took 0.44-0.47 us so, 0.61-0.68 us with a Python number
+(see :func:`step`).  Random factors are drawn in particle order, one ``draw(k)`` per
+step that needs ``k`` of them (the repeated rationalizing boosts are one step).
 
 A boost (``ir + u * ir`` or ``ir + u * (b / ir)``) never lowers ``ir`` and a
 decay (``u * ir`` with ``u < 1``) never raises it, so a boost is capped only
@@ -40,6 +41,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -54,6 +56,7 @@ MAX_IR = sys.float_info.max * IR_FLOOR / 2
 # the most uniforms one step of a run draws (n x d to scatter or move, n x rationality_rate
 # to rationalize): 40 MB of them
 MAX_DRAW = 5_000_000
+IR_FLOOR_0D, INF_0D, ONE_0D, MINUS_ONE_0D, ZERO_0D = map(np.array, (IR_FLOOR, math.inf, 1, -1, 0))
 
 
 class ConfigurationError(ValueError):
@@ -62,17 +65,20 @@ class ConfigurationError(ValueError):
 
 def checked(name: str, value, kind: str, least=None, most=None):
     """``value`` as an ``int`` setting (a real integer, returned as ``int``) or a
-    ``float`` one (a finite real), from ``least`` to ``most`` where given; bools are
-    neither, and other kinds pass unchecked."""
+    ``float`` one (a real that is a finite float, returned as ``float``), from ``least``
+    to ``most`` where given; bools are neither, and other kinds pass unchecked."""
     if kind == "int":
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         value = int(value)
-    # compared, not math.isfinite(): that raises OverflowError on a huge int
-    elif kind == "float" and (isinstance(value, bool) or not (
-        isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
-    )):
-        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+    elif kind == "float":
+        try:  # float() of a real past the float range, such as a huge int, overflows
+            number = float(value) if isinstance(value, numbers.Real) else math.nan
+        except OverflowError:
+            number = math.inf
+        if isinstance(value, bool) or not math.isfinite(number):
+            raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+        value = number
     if least is not None and value < least:
         raise ConfigurationError(f"{name} must be at least {least}, got {value}")
     if most is not None and value > most:
@@ -112,6 +118,14 @@ class AlgorithmParams:
         checked("rationality_rate * num_particles", self.rationality_rate * self.num_particles,
                 "int", most=MAX_DRAW)
 
+    @cached_property  # 0-d operands, cached outside the fields
+    def _max_ir(self) -> np.ndarray:
+        return np.array(self.max_ir)
+
+    @cached_property  # clipped to int64, which holds any ex: it moves by at most 4 an iteration
+    def _maturity_limit(self) -> np.ndarray:
+        return np.array(min(max(self.maturity_limit, -2**63), 2**63 - 1))
+
 
 @dataclass(frozen=True, eq=False)
 class ObjectiveProblem:
@@ -137,9 +151,22 @@ class ObjectiveProblem:
                 f"{lower.tolist()}, upper_bounds={upper.tolist()}"
             )
         if self.known_minimum_value is not None:
-            checked("known_minimum_value", self.known_minimum_value, "float")
+            object.__setattr__(self, "known_minimum_value",
+                               checked("known_minimum_value", self.known_minimum_value, "float"))
         if self.known_minimizer is not None:
             self._point("known_minimizer")
+
+    def box_rows(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The bounds as ``k`` read-only rows each: views of rows kept until ``k`` outgrows them."""
+        box = self.__dict__.get("_box")
+        if box is None or box.shape[1] < k:
+            box = np.stack((self.lower_bounds, self.upper_bounds))[:, None].repeat(k, axis=1)
+            box.flags.writeable = False
+            object.__setattr__(self, "_box", box)
+        return box[0, :k], box[1, :k]
+
+    def __getstate__(self) -> dict:  # a copy makes its own box rows
+        return {name: value for name, value in self.__dict__.items() if name != "_box"}
 
     def _point(self, name: str) -> np.ndarray:
         """Store field ``name`` as a finite float array, and return it: ``lower_bounds``, read
@@ -244,14 +271,14 @@ def socialization(state: SwarmState, params: AlgorithmParams) -> None:
     each.
     """
     below = state.fit < mean_fitness(state.fit)
-    state.ex += np.where(below, 1, -1)
+    state.ex += np.where(below, ONE_0D, MINUS_ONE_0D)
     ir = state.ir[below]
-    state.ir[below] = np.minimum(ir + state.rng.draw(len(ir)) * ir, params.max_ir)
+    state.ir[below] = np.minimum(ir + state.rng.draw(len(ir)) * ir, params._max_ir)
 
 
 def decay_all_ir(state: SwarmState, params: AlgorithmParams) -> None:
     """Multiplicatively decay every particle's interactivity."""
-    state.ir = np.maximum(state.rng.draw(len(state.ir)) * state.ir, IR_FLOOR)
+    state.ir = np.maximum(state.rng.draw(len(state.ir)) * state.ir, IR_FLOOR_0D)
 
 
 def move_toward_best(
@@ -271,7 +298,7 @@ def move_toward_best(
     positions = state.pos.take(rows, axis=0)  # pos[rows], at a fraction of the indexing cost
     u = state.rng.draw(k * problem.dimension).reshape(k, problem.dimension)
     moved = step(positions, u, state.ir.take(rows), state.global_best_position,
-                 problem.lower_bounds, problem.upper_bounds)
+                 *problem.box_rows(k))
     state.pos[rows] = moved
     evaluate_swarm(state, problem, rows, moved)
 
@@ -279,9 +306,15 @@ def move_toward_best(
 def step(positions: np.ndarray, u: np.ndarray, ir: np.ndarray, best: np.ndarray,
          lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Move each of the (k, d) ``positions`` a fraction ``u`` of ``ir`` times its gap to
-    ``best``, overshooting where ``ir`` > 1, and clamp it to the box from ``lower`` to
-    ``upper``; ``best``, ``lower`` and ``upper`` are each one point, or one per row."""
-    moved = positions + u * (ir[:, None] * (best - positions))
+    ``best``, overshooting where ``ir`` > 1, and clamp it to the box from ``lower`` to ``upper``:
+    ``best`` is one point or one per row, the box one row per row, since a ufunc broadcasting a
+    point over rows took 1.3-1.7 us, against 0.45.  The move, ``positions + u * (ir * (best -
+    positions))`` with operands swapped (the same bits), is made in one new buffer, writing no
+    input (``u`` is a view of the random stream's block)."""
+    moved = best - positions
+    moved *= ir[:, None]
+    moved *= u
+    moved += positions
     np.maximum(moved, lower, out=moved)  # np.clip without its Python wrapper
     np.minimum(moved, upper, out=moved)
     return moved
@@ -320,14 +353,14 @@ def fitness_of(problem: ObjectiveProblem, points: np.ndarray) -> np.ndarray:
             f"({len(points)},) in all; got shape {values.shape} of dtype {values.dtype}"
         )
     values = values.astype(float, copy=False)
-    return np.where(np.isfinite(values), values, math.inf)
+    return np.where(np.isfinite(values), values, INF_0D)
 
 
 def maturation(state: SwarmState, params: AlgorithmParams) -> None:
     """Boost interactivity of low-experience particles, then reward the best."""
-    low = state.ex <= params.maturity_limit
+    low = state.ex <= params._maturity_limit
     ir = state.ir[low]
-    state.ir[low] = np.minimum(ir + state.rng.draw(len(ir)) * ir, params.max_ir)
+    state.ir[low] = np.minimum(ir + state.rng.draw(len(ir)) * ir, params._max_ir)
     reward_best(state, params)
 
 
@@ -340,16 +373,16 @@ def rationalizing(state: SwarmState, params: AlgorithmParams, problem: Objective
     the rest get the boost ``rationality_rate`` times, pass ``r`` taking
     row ``r`` of one draw.
     """
-    b = state.ir.item(state.best_holder_index)
-    negative = state.ex < 0
+    b = state.ir[state.best_holder_index, ...].copy()  # 0-d
+    negative = state.ex < ZERO_0D
     ir = state.ir[negative]
-    state.ir[negative] = np.minimum(ir + state.rng.draw(len(ir)) * (b / ir), params.max_ir)
+    state.ir[negative] = np.minimum(ir + state.rng.draw(len(ir)) * (b / ir), params._max_ir)
     move_toward_best(state, problem, negative)
     positive = ~negative
     ir = state.ir[positive]
     m = len(ir)
     for u in state.rng.draw(m * params.rationality_rate).reshape(params.rationality_rate, m):
-        ir = np.minimum(ir + u * (b / ir), params.max_ir)
+        ir = np.minimum(ir + u * (b / ir), params._max_ir)
     state.ir[positive] = ir
 
 
@@ -378,7 +411,7 @@ def initialize(params: AlgorithmParams, problem: ObjectiveProblem, seed: int) ->
     state = SwarmState(
         pos=lower + rng.draw(n * d).reshape(n, d) * span,
         fit=np.full(n, math.inf),
-        ir=np.full(n, float(params.initial_ir)),
+        ir=np.full(n, params.initial_ir),
         ex=np.zeros(n, dtype=np.int64),
         rng=rng,
     )

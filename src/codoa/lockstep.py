@@ -34,7 +34,7 @@ from itertools import groupby
 import numpy as np
 
 from codoa import engine
-from codoa.engine import IR_FLOOR, AlgorithmParams, ConfigurationError, RunResult, checked
+from codoa.engine import AlgorithmParams, ConfigurationError, RunResult, checked
 
 MIN_STACK = 3  # the fewest swarms a stack advances; fewer finish one by one
 
@@ -144,11 +144,11 @@ class _Stack:
     def boost(self, mask: np.ndarray) -> None:
         """``ir + u * ir``, capped at ``max_ir``, for the rows in ``mask``."""
         ir = self.ir[mask]
-        self.ir[mask] = np.minimum(ir + self.draw(self.counts(mask)) * ir, self.params.max_ir)
+        self.ir[mask] = np.minimum(ir + self.draw(self.counts(mask)) * ir, self.params._max_ir)
 
     def decay(self) -> None:
         u = np.concatenate([rng.draw(self.n) for rng in self.rngs])
-        np.maximum(u * self.ir, IR_FLOOR, out=self.ir)
+        np.maximum(u * self.ir, engine.IR_FLOOR_0D, out=self.ir)
 
     def reward(self) -> None:
         """:func:`engine.reward_best` for every swarm."""
@@ -156,7 +156,7 @@ class _Stack:
         best_fit = self.fit.take(best)
         ir = self.ir.take(best)
         u = np.array([rng.next() for rng in self.rngs])
-        self.ir[best] = np.minimum(ir + u * ir, self.params.max_ir)
+        self.ir[best] = np.minimum(ir + u * ir, self.params._max_ir)
         self.ex[best] += 1
         better = best_fit < self.best_fit
         if better.any():
@@ -189,7 +189,7 @@ class _Stack:
         # socialization
         means = np.array([engine.mean_fitness(fit) for fit in self.fit.reshape(-1, n)])
         below = (self.fit.reshape(-1, n) < means[:, None]).ravel()
-        self.ex += np.where(below, 1, -1)
+        self.ex += np.where(below, engine.ONE_0D, engine.MINUS_ONE_0D)
         self.boost(below)
         # interactivity decay, then move all but each best holder
         self.decay()
@@ -198,16 +198,16 @@ class _Stack:
         self.move(others)
         self.reward()
         # maturation
-        self.boost(self.ex <= params.maturity_limit)
+        self.boost(self.ex <= params._maturity_limit)
         self.reward()
         # rationalizing: the reference ir is read once, before any update
         b = self.ir.take(self.first + self.holder)
-        negative = self.ex < 0
+        negative = self.ex < engine.ZERO_0D
         if negative.any():
             ir = self.ir[negative]
             u = self.draw(self.counts(negative))
             self.ir[negative] = np.minimum(
-                ir + u * (b.take(self.swarm_of[negative]) / ir), params.max_ir
+                ir + u * (b.take(self.swarm_of[negative]) / ir), params._max_ir
             )
             self.move(negative)
         rate, positive = params.rationality_rate, ~negative
@@ -218,7 +218,7 @@ class _Stack:
             for rng, m in zip(self.rngs, self.counts(positive).tolist())
         ], axis=1)  # pass p takes row p of each swarm's one draw
         for row in u:
-            ir = np.minimum(ir + row * (ref / ir), params.max_ir)
+            ir = np.minimum(ir + row * (ref / ir), params._max_ir)
         self.ir[positive] = ir
         # balancing
         self.decay()

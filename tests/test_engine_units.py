@@ -1,7 +1,9 @@
 """Unit tests for params validation, the ir clamps, evaluation, initialize, and run."""
 
 import dataclasses
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from codoa.engine import (
     run,
     socialization,
 )
+from codoa.harness import ExperimentConfig, run_experiment, write_report
 from codoa.rng import _BLOCK, RandomStream
 
 from support import PinnedStream, box_problem, make_state
@@ -106,11 +109,23 @@ class TestAlgorithmParams:
     @pytest.mark.parametrize("field", ["initial_ir", "max_ir"])
     @pytest.mark.parametrize("value", [
         math.inf, -math.inf, math.nan, 1e309, pytest.param(10**400, id="10**400"), "0.5", None,
-        True,
+        True, pytest.param(Fraction(10**400), id="Fraction(10**400)"),
     ])
     def test_interactivity_fields_must_be_finite_numbers(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             AlgorithmParams(**{field: value})
+
+    @pytest.mark.parametrize("value", [np.float32(10), np.float16(4), Fraction(10), 10],
+                             ids=["float32", "float16", "Fraction", "int"])
+    def test_a_float_setting_is_stored_and_reported_as_a_float(self, value, tmp_path):
+        # with every RuntimeWarning an error, as the test configuration sets
+        params = AlgorithmParams(max_iterations=3, max_ir=value)
+        assert params.max_ir == float(value) and type(params.max_ir) is float
+        config = ExperimentConfig(entries=(("booth", 2),), runs_per_entry=1, params=params)
+        write_report(run_experiment(config), "json", tmp_path / "report.json")
+        text = (tmp_path / "report.json").read_text()
+        assert f'"max_ir": {float(value)!r},' in text
+        assert json.loads(text)["params"]["max_ir"] == float(value)
 
 
 def _bits(value):
@@ -215,11 +230,14 @@ class TestObjectiveProblem:
         with pytest.raises(ConfigurationError, match=field):
             ObjectiveProblem([0.0, 0.0], [1.0, 1.0], lambda x: 0.0, **{field: value})
 
-    @pytest.mark.parametrize("value", [None, 0, -1.5, np.float64(2.0), np.int64(3)])
+    @pytest.mark.parametrize("value", [
+        None, 0, -1.5, np.float64(2.0), np.int64(3), np.float32(3), Fraction(3),
+    ])
     def test_accepts_a_finite_real_known_minimum_value_or_none(self, value):
         problem = ObjectiveProblem([0.0, 0.0], [1.0, 1.0], lambda x: 0.0,
                                    known_minimum_value=value)
         assert problem.known_minimum_value == value
+        assert value is None or type(problem.known_minimum_value) is float
 
     def test_known_minimizer_is_stored_as_a_float_array(self):
         problem = ObjectiveProblem([0.0, 0.0], [1.0, 1.0], lambda x: 0.0,
