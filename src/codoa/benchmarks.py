@@ -111,7 +111,7 @@ rosenbrock.batch = _rosenbrock_rows
 
 class _Pair:
     """A 2-D function ``f(x, y)`` as an evaluator: called on one point, or on
-    (k, 2) points through ``batch``.
+    (k, 2) points through ``batch``; points of another shape are a ValueError.
 
     A class, not a closure, so that it pickles (``f`` by reference): a pooled
     run sends each worker the problem built for its entry, evaluator and all.
@@ -121,9 +121,13 @@ class _Pair:
         self.f = f
 
     def __call__(self, pos: np.ndarray) -> float:
+        if np.shape(pos) != (2,):
+            raise ValueError(f"{self.f.__name__} takes 2 coordinates, got shape {np.shape(pos)}")
         return float(self.f(float(pos[0]), float(pos[1])))
 
     def batch(self, points: np.ndarray) -> np.ndarray:
+        if points.shape[1:] != (2,):
+            raise ValueError(f"{self.f.__name__} takes 2 coordinates, got shape {points.shape}")
         return self.f(points[:, 0], points[:, 1])
 
 

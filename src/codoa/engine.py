@@ -150,23 +150,16 @@ class ObjectiveProblem:
                 "upper_bounds - lower_bounds must be finite, got lower_bounds="
                 f"{lower.tolist()}, upper_bounds={upper.tolist()}"
             )
+        if not callable(self.evaluator):
+            raise ConfigurationError(f"evaluator must be callable, got {self.evaluator!r}")
+        batch = getattr(self.evaluator, "batch", None)
+        if batch is not None and not callable(batch):
+            raise ConfigurationError(f"evaluator.batch must be callable or absent, got {batch!r}")
         if self.known_minimum_value is not None:
             object.__setattr__(self, "known_minimum_value",
                                checked("known_minimum_value", self.known_minimum_value, "float"))
         if self.known_minimizer is not None:
             self._point("known_minimizer")
-
-    def box_rows(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The bounds as ``k`` read-only rows each: views of rows kept until ``k`` outgrows them."""
-        box = self.__dict__.get("_box")
-        if box is None or box.shape[1] < k:
-            box = np.stack((self.lower_bounds, self.upper_bounds))[:, None].repeat(k, axis=1)
-            box.flags.writeable = False
-            object.__setattr__(self, "_box", box)
-        return box[0, :k], box[1, :k]
-
-    def __getstate__(self) -> dict:  # a copy makes its own box rows
-        return {name: value for name, value in self.__dict__.items() if name != "_box"}
 
     def _point(self, name: str) -> np.ndarray:
         """Store field ``name`` as a finite float array, and return it: ``lower_bounds``, read
@@ -195,7 +188,10 @@ class ObjectiveProblem:
 
 @dataclass(eq=False)
 class SwarmState:
-    """One run: swarm arrays (row i is particle i), best-so-far archive, counters."""
+    """One run: swarm arrays (row i is particle i), best-so-far archive, counters, and
+    ``box``, the bounds as ``(2, N, d)`` rows, made on the swarm's first move (a lockstep
+    stack makes none): a swarm is moved in the box of the problem it first moves on, which
+    its archive and fitnesses already tie it to."""
 
     pos: np.ndarray
     fit: np.ndarray
@@ -207,6 +203,7 @@ class SwarmState:
     best_holder_index: Optional[int] = None
     eval_count: int = 0
     history: list[float] = field(default_factory=list)
+    box: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -297,8 +294,11 @@ def move_toward_best(
         return
     positions = state.pos.take(rows, axis=0)  # pos[rows], at a fraction of the indexing cost
     u = state.rng.draw(k * problem.dimension).reshape(k, problem.dimension)
+    if state.box is None:
+        state.box = np.stack((problem.lower_bounds, problem.upper_bounds))[:, None].repeat(
+            len(state.fit), axis=1)
     moved = step(positions, u, state.ir.take(rows), state.global_best_position,
-                 *problem.box_rows(k))
+                 state.box[0, :k], state.box[1, :k])
     state.pos[rows] = moved
     evaluate_swarm(state, problem, rows, moved)
 

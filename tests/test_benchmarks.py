@@ -22,7 +22,7 @@ from codoa.benchmarks import (
     sphere,
     three_hump_camel,
 )
-from codoa.engine import ConfigurationError
+from codoa.engine import AlgorithmParams, ConfigurationError, ObjectiveProblem, run
 
 from support import rosenbrock_loop, sphere_loop
 
@@ -213,6 +213,17 @@ class TestMakeProblem:
         spec, checked_dimension = check_entry(name, dimension)
         assert spec is REGISTRY[name]
         assert checked_dimension == dimension and type(checked_dimension) is int
+
+    @pytest.mark.parametrize("name", [n for n, s in REGISTRY.items() if s.dimensions == (2, 2)])
+    def test_a_2d_function_rejects_points_of_another_dimension_naming_itself(self, name):
+        func = REGISTRY[name].func
+        with pytest.raises(ValueError, match=f"^{name} takes"):
+            func(np.zeros(1))
+        with pytest.raises(ValueError, match=f"^{name} takes"):
+            func.batch(np.zeros((4, 3)))
+        problem = ObjectiveProblem([-10.0] * 3, [10.0] * 3, func)
+        with pytest.raises(ValueError, match=f"^{name} takes"):
+            run(AlgorithmParams(max_iterations=50), problem, 1)
 
     def test_registry_lists_all_seven(self):
         assert list(REGISTRY) == [

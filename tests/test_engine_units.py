@@ -179,6 +179,14 @@ class TestInteractivityClamps:
             assert state.ir[0] == params.max_ir, name
 
 
+def _with_batch(batch):
+    """An evaluator whose ``batch`` attribute is ``batch``."""
+    def evaluator(x):
+        return 0.0
+    evaluator.batch = batch
+    return evaluator
+
+
 class TestObjectiveProblem:
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ConfigurationError, match="bounds"):
@@ -238,6 +246,15 @@ class TestObjectiveProblem:
                                    known_minimum_value=value)
         assert problem.known_minimum_value == value
         assert value is None or type(problem.known_minimum_value) is float
+
+    @pytest.mark.parametrize("evaluator, name", [
+        (None, "evaluator"), (5, "evaluator"), ("sphere", "evaluator"),
+        (_with_batch("nope"), "evaluator.batch"),
+    ], ids=["None", "int", "str", "batch"])
+    def test_rejects_an_evaluator_or_batch_that_is_not_callable_naming_it(self, evaluator,
+                                                                         name):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be callable"):
+            ObjectiveProblem(np.zeros(2), np.ones(2), evaluator)
 
     def test_known_minimizer_is_stored_as_a_float_array(self):
         problem = ObjectiveProblem([0.0, 0.0], [1.0, 1.0], lambda x: 0.0,

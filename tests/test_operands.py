@@ -1,16 +1,19 @@
 """Numpy's fast path: ``engine.step`` and rosenbrock's batch form make their results in
-new buffers and write into no input, a problem keeps its box as read-only rows, and the
-0-d operands of ``AlgorithmParams`` leave its value semantics as they were."""
+new buffers and write into no input, a serial run keeps its box as rows while a problem
+stays a plain record of its fields, and the 0-d operands of ``AlgorithmParams`` leave its
+value semantics as they were."""
 
 import dataclasses
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from codoa import engine
+from codoa import engine, harness, lockstep
 from codoa.benchmarks import _rosenbrock_rows, make_problem, rosenbrock
 from codoa.engine import AlgorithmParams, ObjectiveProblem, step
+from codoa.harness import ExperimentConfig, run_experiment
 from codoa.rng import RandomStream
 
 
@@ -26,7 +29,7 @@ def _broadcast_step(positions, u, ir, best, lower, upper):
 
 def _step_args(owner_count):
     """``step``'s arguments for 7 moved rows in d = 4, ``u`` a view of a stream's block:
-    the engine's (one best point, its problem's box rows) for ``owner_count`` 1, else a
+    the engine's (one best point, its swarm's box rows) for ``owner_count`` 1, else a
     stack's (one best point and one box row per moved row, from ``owner_count`` swarms).
     ``ir`` reaches 10, so that some rows overshoot and are clamped."""
     k, d = 7, 4
@@ -36,7 +39,9 @@ def _step_args(owner_count):
     u = rng.draw(k * d).reshape(k, d)
     ir = rng.draw(k) * 10
     if owner_count == 1:
-        return positions, u, ir, positions[3].copy(), *problems[1].box_rows(k)
+        box = np.repeat(np.stack((problems[1].lower_bounds, problems[1].upper_bounds))[:, None],
+                        k, axis=1)
+        return positions, u, ir, positions[3].copy(), box[0], box[1]
     owner = np.arange(k) % owner_count
     best = positions.take(owner, axis=0) * 0.5
     lower = np.stack([problems[r % 2].lower_bounds for r in owner])
@@ -73,38 +78,73 @@ def test_rosenbrock_batch_of_another_dtype_equals_its_row_form(dtype):
     assert _bits(rosenbrock.batch(x)) == _bits([rosenbrock(row) for row in x])
 
 
-def test_box_rows_are_the_tiled_bounds_read_only_below_at_and_above_the_rows_kept():
+def test_a_serial_swarm_makes_its_box_rows_on_its_first_move_and_a_stacked_one_none():
+    params = AlgorithmParams(num_particles=6, max_iterations=4)
     problem = make_problem("mccormick")  # a box of different bounds per coordinate
-    kept = problem.box_rows(5)
-    for k in (3, 5, 9, 1):
-        lower, upper = problem.box_rows(k)
-        assert lower.tolist() == np.tile(problem.lower_bounds, (k, 1)).tolist()
-        assert upper.tolist() == np.tile(problem.upper_bounds, (k, 1)).tolist()
-        for rows in (lower, upper):
-            assert not rows.flags.writeable
-            with pytest.raises(ValueError):
-                rows[0, 0] = 0.0
-        if k == 3:  # fewer rows than kept are views of the kept ones
-            assert np.shares_memory(lower, kept[0]) and np.shares_memory(upper, kept[1])
+    state = engine.initialize(params, problem, 3)
+    assert state.box is None
+    engine.iterate(state, params, problem)
+    assert state.box.shape == (2, 6, 2) and state.box.flags.c_contiguous
+    assert state.box.tolist() == [np.tile(problem.lower_bounds, (6, 1)).tolist(),
+                                  np.tile(problem.upper_bounds, (6, 1)).tolist()]
     assert problem.lower_bounds.tolist() == [-1.5, -3.0]
+    swarms = [(problem, engine.initialize(params, problem, seed)) for seed in range(3)]
+    lockstep._Stack(params, swarms).advance()
+    assert all(state.history and state.box is None for _, state in swarms)
 
 
-def test_a_problem_with_box_rows_round_trips_through_pickle_and_replace():
+def test_a_problem_pickles_and_replaces_as_its_fields_before_and_after_a_run():
     params = AlgorithmParams(num_particles=6, max_iterations=20)
     problem = make_problem("rosenbrock", 3)
+    pickled = pickle.dumps(problem)
     solo = engine.run(params, problem, 4)
-    assert problem.box_rows(6)[0].shape == (6, 3)
-    copy = pickle.loads(pickle.dumps(problem))
+    assert pickle.dumps(problem) == pickled
+    copy = pickle.loads(pickled)
     assert _bits(copy.lower_bounds) == _bits(problem.lower_bounds)
     assert _bits(copy.upper_bounds) == _bits(problem.upper_bounds)
     assert copy.dimension == 3 and copy.known_minimum_value == problem.known_minimum_value
     assert engine.run(params, copy, 4) == solo
-    assert copy.box_rows(6)[0].tolist() == problem.box_rows(6)[0].tolist()
-    assert not copy.box_rows(6)[0].flags.writeable
     narrow = dataclasses.replace(problem, lower_bounds=[-1.0] * 3, upper_bounds=[1.0] * 3)
-    assert narrow.box_rows(2)[1].tolist() == [[1.0] * 3] * 2  # its own bounds, not the old box
     fresh = ObjectiveProblem([-1.0] * 3, [1.0] * 3, problem.evaluator)
     assert engine.run(params, narrow, 4) == engine.run(params, fresh, 4)
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pooled"])
+def test_a_problem_holds_only_its_fields_after_a_run_a_stack_and_an_experiment(
+        monkeypatch, workers):
+    params = AlgorithmParams(num_particles=6, max_iterations=20)
+    names = {f.name for f in dataclasses.fields(ObjectiveProblem)}
+    problem = make_problem("sphere", 3)
+    engine.run(params, problem, 1)
+    lockstep.run_many(params, [(problem, seed) for seed in range(5)])
+    assert set(vars(problem)) == names
+    built = []
+
+    def recorded(name, dimension):
+        built.append(make_problem(name, dimension))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "make_problem", recorded)
+    run_experiment(ExperimentConfig((("booth", 2), ("sphere", 4)), 2, params=params), workers)
+    assert len(built) == 2 and all(set(vars(p)) == names for p in built)
+
+
+def _traced_peak(entries: int) -> int:
+    """The traced peak of a serial experiment of ``entries`` sphere-5000 entries of one run
+    of one iteration each."""
+    config = ExperimentConfig((("sphere", 5000),) * entries, runs_per_entry=1,
+                              params=AlgorithmParams(max_iterations=1))
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_serial_experiment_keeps_no_box_rows_per_entry():
+    # each run's box is 2 x 50 x 5000 floats (4 MB), freed with its run
+    assert _traced_peak(8) < 1.5 * _traced_peak(1)
 
 
 def test_params_keep_equality_hash_asdict_and_pickling_once_their_operands_exist():
