@@ -191,7 +191,8 @@ class SwarmState:
     """One run: swarm arrays (row i is particle i), best-so-far archive, counters, and
     ``box``, the bounds as ``(2, N, d)`` rows, made on the swarm's first move (a lockstep
     stack makes none): a swarm is moved in the box of the problem it first moves on, which
-    its archive and fitnesses already tie it to."""
+    its archive and fitnesses already tie it to.  Its best fitness, best holder and
+    evaluation count are 0-d views of a lockstep stack's arrays only while it is stacked."""
 
     pos: np.ndarray
     fit: np.ndarray
@@ -492,7 +493,7 @@ def finish(state: SwarmState, params: AlgorithmParams, problem: ObjectiveProblem
     give its ``RunResult``; from the first iteration at which the swarm has
     :func:`collapsed` (the 0th, right after :func:`initialize`, too), :func:`fast_forward`
     finishes the budget, as iterating would, bit for bit.  A stopped lockstep stack hands
-    every swarm back with arrays of its own, so none finishes here on a view of one."""
+    every swarm back with numbers and arrays of its own, so none finishes on a view of one."""
     for done in range(len(state.history), params.max_iterations):
         if collapsed(state, problem):
             fast_forward(state, params.max_iterations - done)

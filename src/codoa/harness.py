@@ -28,8 +28,8 @@ TABLE2_DIMENSIONS = (2, 5, 10, 20, 30)
 
 REPORT_FORMATS = ("csv", "json")
 
-# an experiment holds every run's RunResult until it reports, 40-150 KB each at the reference
-# 5,000 iterations: 1,000 runs of one entry hold up to 150 MB
+# a pooled task holds each of its runs whole, history and all, until the task ends: 40-150 KB
+# a run at the reference 5,000 iterations, so 1,000 runs of one entry hold up to 150 MB
 MAX_RUNS = 1_000
 # one experiment's worker processes, each with its own numpy (about 30 MB); a constant, not
 # the host's core count, so that a config valid on one machine is valid on every one
@@ -139,9 +139,17 @@ if hasattr(os, "register_at_fork"):  # absent where there is no fork
     os.register_at_fork(after_in_child=_forget_pool_in_child)
 
 
-def _pool_map(params: AlgorithmParams, tasks: list, processes: int) -> list:
-    """``codoa.lockstep.run_many(params, task)`` for each task, in order, in the
-    shared pool of ``processes`` processes.
+def _bests(params: AlgorithmParams, runs) -> list[float]:
+    """The best fitness of each run of ``codoa.lockstep.run_many(params, runs)``: all that a
+    report reads of a run, and all that a pooled task sends back."""
+    from codoa.lockstep import run_many  # only where a pool runs it
+
+    return [result.best_fitness for result in run_many(params, runs)]
+
+
+def _pool_map(params: AlgorithmParams, tasks: list, processes: int) -> list[list[float]]:
+    """``_bests(params, task)`` for each task, in order, in the shared pool of
+    ``processes`` processes: each worker sends back one float per run.
 
     Every task is queued at once, and each process takes the next one as it
     frees up.  Each task is pickled, so its problems' evaluators must pickle.
@@ -155,8 +163,6 @@ def _pool_map(params: AlgorithmParams, tasks: list, processes: int) -> list:
     from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing: only here
     from concurrent.futures.process import BrokenProcessPool
 
-    from codoa.lockstep import run_many  # only where a pool runs it
-
     columns = [params] * len(tasks), tasks
     with _pool_lock:
         if _pool is not None and _pool[0] != processes:
@@ -165,11 +171,11 @@ def _pool_map(params: AlgorithmParams, tasks: list, processes: int) -> list:
             _pool = (processes, ProcessPoolExecutor(max_workers=processes))
         try:
             try:
-                results = _pool[1].map(run_many, *columns)  # submits every task before it returns
+                results = _pool[1].map(_bests, *columns)  # submits every task before it returns
             except BrokenProcessPool:
                 _close_pool()
                 _pool = (processes, ProcessPoolExecutor(max_workers=processes))
-                results = _pool[1].map(run_many, *columns)
+                results = _pool[1].map(_bests, *columns)
             return list(results)
         except BaseException:
             _close_pool()
@@ -181,14 +187,14 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
 
     ``workers`` is an integer from 1 to ``MAX_WORKERS``.  Each entry's problem is built
     once, and the experiment's runs are one list of ``(problem, seed)`` pairs in
-    (entry, seed) order.  At 1 worker, each run is one call of ``run``.  Above
-    1, :func:`codoa.lockstep.plan` deals the runs into tasks of one dimension
-    each, which ``codoa.lockstep.run_many`` advances on one lockstep stack, giving
-    each run's result bit for bit.  The tasks are queued in the plan's order,
-    largest first, on a pool of ``min(workers, tasks)`` processes that later
-    calls with as many processes reuse; each process takes the next task as it frees
-    up, so the load balances by cost.  Results go back to their runs' places, so the
-    report is identical to a serial execution.
+    (entry, seed) order, of which it keeps each one's best fitness, all a report reads.
+    At 1 worker, each run is one call of ``run``.  Above 1, :func:`codoa.lockstep.plan`
+    deals the runs into tasks of one dimension each, which ``codoa.lockstep.run_many``
+    advances on one lockstep stack, giving each run's result bit for bit.  The tasks are
+    queued in the plan's order, largest first, on a pool of ``min(workers, tasks)``
+    processes that later calls with as many processes reuse; each process takes the next
+    task as it frees up, so the load balances by cost.  The bests go back to their runs'
+    places, so the report is identical to a serial execution.
     """
     workers = checked("workers", workers, "int", least=1, most=MAX_WORKERS)
     n = config.runs_per_entry
@@ -202,12 +208,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
         tasks = plan(runs, workers)
         done = _pool_map(config.params, [[runs[i] for i in ix] for ix in tasks],
                          min(workers, len(tasks)))
-        results = [None] * len(runs)
-        for i, result in zip(chain.from_iterable(tasks), chain.from_iterable(done)):
-            results[i] = result
+        bests = [None] * len(runs)
+        for i, best in zip(chain.from_iterable(tasks), chain.from_iterable(done)):
+            bests[i] = best
     else:
-        results = [run(config.params, problem, seed) for problem, seed in runs]
-    bests = [result.best_fitness for result in results]
+        bests = [run(config.params, problem, seed).best_fitness for problem, seed in runs]
 
     entry_reports = []
     for idx, ((name, dim), problem) in enumerate(zip(config.entries, problems)):

@@ -1,27 +1,25 @@
 """Seeded runs of one dimension advanced together, phase by phase.
 
-``run_many(params, runs)`` gives ``[run(params, problem, seed) for problem,
-seed in runs]``, bit for bit, at a lower cost per run: at small swarms most of
-the engine's cost is per-call overhead, which one set of array calls over the
-stacked swarms shares.  It holds the runs as ``(problem, state)`` swarms from
-``initialize`` on.  While at least ``MIN_STACK`` of them have not
-:func:`engine.collapsed` and the budget is not spent, those go on one stack
-whatever their problems.  A stack holds the only copy of its swarms (each
-``SwarmState``'s arrays are its rows of the stack's until it stops), steps
-every moved row in one :func:`engine.step`, each in its own problem's box, and
-evaluates each stretch of adjacent swarms on one problem in one
-:func:`engine.fitness_of` call.  Each swarm keeps its own random stream, drawn
-in the order ``run`` draws it.  A stack only iterates: it stops at the budget
-or once some swarm has collapsed, and then hands every swarm back whole, with
-arrays of its own, so that the stack is freed and no swarm keeps a view of it.
-Every swarm is checked before a stack is built, right after ``initialize``
-too, so a collapsed one never enters a stack.  Then every run, in run order,
-ends in :func:`engine.finish`, ``run``'s own loop, which iterates on from as
-many iterations as a swarm's ``history`` holds and fast-forwards a collapsed
-one, so every ``RunResult`` is made there.  At 50 particles x 50
-iterations (2 vCPUs, medians of 41 alternating rounds), a stack of booth, beale
-and goldstein_price at d = 2 cost 0.95x their runs made one by one, 0.84x with
-mccormick, and 1.14x of booth and beale alone: three is the least that pays.
+``run_many(params, runs)`` gives ``[run(params, problem, seed) for problem, seed in
+runs]``, bit for bit, at a lower cost per run: at small swarms most of the engine's cost
+is per-call overhead, which one set of array calls over the stacked swarms shares.  It
+holds the runs as ``(problem, state)`` swarms from ``initialize`` on.  While at least
+``MIN_STACK`` of them have not :func:`engine.collapsed` and the budget is not spent,
+those go on one stack whatever their problems.  A stack holds the only copy of its
+swarms: until it stops, every field of a stacked ``SwarmState`` but its stream and
+history is a view of the stack, its arrays rows and its numbers 0-d entries.  It steps
+every moved row in one :func:`engine.step`, each in its own problem's box, and evaluates
+each stretch of adjacent swarms on one problem in one :func:`engine.fitness_of`
+call.  Each swarm keeps its own random stream, drawn in the order ``run`` draws it.  A
+stack only iterates: it stops at the budget or once some swarm has collapsed, and then
+hands every swarm back once, with numbers and arrays of its own, so that the stack is
+freed.  Every swarm is checked before a stack is built, right after ``initialize`` too,
+so a collapsed one never enters a stack.  Then every run, in run order, ends in
+:func:`engine.finish`, ``run``'s own loop, which iterates on from as many iterations as
+a swarm's ``history`` holds and fast-forwards a collapsed one, so every ``RunResult`` is
+made there.  Three swarms is the least that pays: at 50 particles x 50 iterations
+(2 vCPUs), a stack of booth, beale and goldstein_price at d = 2 cost 0.95x their solo
+runs, and of booth and beale alone 1.14x.
 
 ``plan(runs, workers)`` is the stacking policy of an experiment: it deals its runs
 into tasks of one dimension, one ``run_many`` call each, for ``workers`` processes.
@@ -79,7 +77,9 @@ class _Stack:
     """The ``(problem, state)`` swarms, all of one dimension, as flat arrays: rows
     ``r * N`` to ``r * N + N - 1`` of ``pos``, ``fit``, ``ir`` and ``ex`` are swarm
     ``r``'s particles, and ``best_pos``, ``best_fit``, ``holder``, ``evals``, ``lower``
-    and ``upper`` (its problem's box) hold one entry per swarm.
+    and ``upper`` (its problem's box) hold one entry per swarm.  Every field of swarm
+    ``r``'s state but its stream and history is a view of its rows or entries, until
+    :meth:`advance` hands the swarm back once.
     """
 
     def __init__(self, params: AlgorithmParams, swarms) -> None:
@@ -100,10 +100,11 @@ class _Stack:
         self.first = np.arange(len(states)) * n  # row of each swarm's particle 0
         self.swarm_of = np.repeat(np.arange(len(states)), n)
         self.everyone = np.ones(len(states) * n, dtype=bool)
-        for r, s in enumerate(states):  # its rows are the swarm's arrays until advance hands it back
+        for r, s in enumerate(states):  # views of the stack until advance hands it back
             rows = slice(r * n, (r + 1) * n)
             s.pos, s.fit, s.ir, s.ex = self.pos[rows], self.fit[rows], self.ir[rows], self.ex[rows]
-            s.global_best_position = self.best_pos[r]
+            s.global_best_position, s.global_best_fitness = self.best_pos[r], self.best_fit[r, ...]
+            s.best_holder_index, s.eval_count = self.holder[r, ...], self.evals[r, ...]
         # the problem of each stretch of adjacent swarms on one, and the row after it
         # (problems compare by identity)
         adjacent = groupby(problem for problem, _ in swarms)
@@ -111,27 +112,20 @@ class _Stack:
         self.problems = [problem for problem, _ in groups]
         self.ends = np.cumsum([count for _, count in groups]) * n
 
-    def unstack(self) -> None:
-        """Write each swarm's best fitness, best holder and evaluation count back into its
-        ``SwarmState``, whose arrays are the stack's own rows."""
-        for s, fit, holder, evals in zip(self.states, self.best_fit.tolist(),
-                                         self.holder.tolist(), self.evals.tolist()):
-            s.global_best_fitness, s.best_holder_index, s.eval_count = fit, holder, evals
-
     def advance(self) -> None:
-        """Iterate on until the budget, or until some swarm has :func:`engine.collapsed`; then
-        hand every swarm back whole, with arrays of its own, so that the stack is freed."""
+        """Iterate until the budget, or until some swarm has :func:`engine.collapsed`; then
+        hand every swarm back once, with numbers and arrays of its own, freeing the stack."""
         for _ in range(len(self.states[0].history), self.params.max_iterations):
             self.iterate()
             # a swarm whose fitnesses all equal its best may have collapsed
-            if (self.fit.reshape(-1, self.n).max(axis=1) == self.best_fit).any():
-                self.unstack()
-                if any(engine.collapsed(state, problem) for problem, state in self.swarms):
-                    break
-        self.unstack()
-        for s in self.states:
+            if (self.fit.reshape(-1, self.n).max(axis=1) == self.best_fit).any() and any(
+                    engine.collapsed(state, problem) for problem, state in self.swarms):
+                break
+        for s, fit, holder, evals in zip(self.states, self.best_fit.tolist(),
+                                         self.holder.tolist(), self.evals.tolist()):
             s.pos, s.fit, s.ir, s.ex = s.pos.copy(), s.fit.copy(), s.ir.copy(), s.ex.copy()
             s.global_best_position = s.global_best_position.copy()
+            s.global_best_fitness, s.best_holder_index, s.eval_count = fit, holder, evals
 
     def counts(self, mask: np.ndarray) -> np.ndarray:
         """How many rows of each swarm ``mask`` holds."""
@@ -160,8 +154,8 @@ class _Stack:
         self.ex[best] += 1
         better = best_fit < self.best_fit
         if better.any():
-            self.best_fit = np.where(better, best_fit, self.best_fit)
-            self.holder = np.where(better, best - self.first, self.holder)
+            np.copyto(self.best_fit, best_fit, where=better)
+            np.copyto(self.holder, best - self.first, where=better)
             self.best_pos[better] = self.pos[best[better]]
 
     def move(self, mask: np.ndarray) -> None:

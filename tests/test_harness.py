@@ -266,6 +266,34 @@ class TestRunExperiment:
         assert harness._pool[0] == processes
         assert pooled == run_experiment(config)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_experiment_holds_one_best_per_run(self, workers, no_pool_yet):
+        import tracemalloc
+
+        params = AlgorithmParams(num_particles=10, max_iterations=150)
+        problem = make_problem("rosenbrock", 10)
+        if workers > 1:  # starts the kept pool; each worker replies with one float per run
+            replies = harness._pool_map(params, [[(problem, 1), (problem, 2)], [(problem, 3)]],
+                                        workers)
+            assert replies == [[run(params, problem, seed).best_fitness for seed in seeds]
+                               for seeds in ((1, 2), (3,))]
+            assert [[type(best) for best in reply] for reply in replies] == [[float] * 2, [float]]
+
+        def peak(runs):
+            """The most this process held while an experiment of ``runs`` runs ran."""
+            config = ExperimentConfig(entries=(("rosenbrock", 10),), runs_per_entry=runs,
+                                      params=params)
+            tracemalloc.start()
+            try:
+                run_experiment(config, workers=workers)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # the first call's one-off allocations
+        # a whole RunResult holds a history of 150 floats, about 5 KB: 40 of them would not fit
+        assert peak(40) < 1.5 * peak(4) + 32_000
+
     def test_single_job_runs_without_a_pool(self, no_pool_yet, monkeypatch):
         def no_pool(**kwargs):
             raise AssertionError("a pool was started for one run")

@@ -233,7 +233,43 @@ def test_a_stack_holds_the_only_copy_of_its_swarms():
                     f"{name} of swarm {r}, {when}")
             assert np.shares_memory(state.global_best_position, stack.best_pos[r]), (
                 f"global_best_position of swarm {r}, {when}")
+            for name, column in (("global_best_fitness", stack.best_fit),
+                                 ("best_holder_index", stack.holder), ("eval_count", stack.evals)):
+                assert np.shares_memory(getattr(state, name), column[r, ...]), (
+                    f"{name} of swarm {r}, {when}")
         stack.iterate()
+
+
+def snapshot(state):
+    """What a swarm reads as between iterations: its archive, its counters and its arrays."""
+    return (float(state.global_best_fitness), int(state.best_holder_index),
+            int(state.eval_count), state.global_best_position.tolist(), state.pos.tolist(),
+            state.ir.tolist(), state.ex.tolist())
+
+
+def test_a_stacked_swarm_reads_as_a_solo_one_after_every_iteration(monkeypatch):
+    stacked = []  # after each stacked iteration, a snapshot of every swarm on the stack
+
+    def iterate(self):
+        original(self)
+        stacked.append([snapshot(state) for _, state in self.swarms])
+
+    original = lockstep._Stack.iterate
+    monkeypatch.setattr(lockstep._Stack, "iterate", iterate)
+    params = AlgorithmParams(num_particles=6, max_iterations=40)
+    runs = [(problem, seed) for problem in (SPHERE3, make_problem("rosenbrock", 3))
+            for seed in (1, 2)]
+    run_many(params, runs)
+    monkeypatch.undo()
+    solo = []  # each run's snapshots, stepped alone
+    for problem, seed in runs:
+        state = engine.initialize(params, problem, seed)
+        solo.append([])
+        for _ in range(params.max_iterations):
+            engine.iterate(state, params, problem)
+            solo[-1].append(snapshot(state))
+    # none collapses, so all four stay on one stack for every iteration
+    assert stacked == [list(iteration) for iteration in zip(*solo)]
 
 
 def test_a_stack_is_freed_once_the_next_is_built(monkeypatch):
