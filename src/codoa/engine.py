@@ -18,12 +18,12 @@ A boost (``ir + u * ir`` or ``ir + u * (b / ir)``) never lowers ``ir`` and a
 decay (``u * ir`` with ``u < 1``) never raises it, so a boost is capped only
 at ``max_ir`` and a decay floored only at ``IR_FLOOR``.
 
-``problem.evaluator`` maps one point to its fitness, and must be pure, as
-deterministic runs already require.  It may carry a ``batch`` attribute
-mapping a (k, d) array to k fitnesses: the same values, bit for bit, as
-calling the evaluator on each row, or else leave it off.  Particles are
-evaluated where they move, all moved rows in one call (without ``batch``,
-one by one in index order), so ``fit[i] == f(pos[i])`` always.
+A swarm (:class:`SwarmState`) carries its problem: no call after :func:`initialize` takes
+one.  ``problem.evaluator`` maps one point to its fitness, and must be pure, as
+deterministic runs already require.  It may carry a ``batch`` attribute mapping a (k, d)
+array to k fitnesses: the same values, bit for bit, as calling the evaluator on each row,
+or else leave it off.  Particles are evaluated where they move, all moved rows in one
+call (without ``batch``, one by one in index order), so ``fit[i] == f(pos[i])`` always.
 
 Swarms collapse: every particle comes to sit on the archived best, bit for
 bit (see :func:`collapsed`; booth-2 runs at the reference settings do so at
@@ -56,6 +56,9 @@ MAX_IR = sys.float_info.max * IR_FLOOR / 2
 # the most uniforms one step of a run draws (n x d to scatter or move, n x rationality_rate
 # to rationalize): 40 MB of them
 MAX_DRAW = 5_000_000
+# the most runs of an entry and of a pooled task, which holds each run whole until it ends:
+# 120-250 KB a run at 5,000 iterations and d = 2 to 30 (tracemalloc), 250 MB a task at most
+MAX_RUNS = 1_000
 IR_FLOOR_0D, INF_0D, ONE_0D, MINUS_ONE_0D, ZERO_0D = map(np.array, (IR_FLOOR, math.inf, 1, -1, 0))
 
 
@@ -188,17 +191,18 @@ class ObjectiveProblem:
 
 @dataclass(eq=False)
 class SwarmState:
-    """One run: swarm arrays (row i is particle i), best-so-far archive, counters, and
-    ``box``, the bounds as ``(2, N, d)`` rows, made on the swarm's first move (a lockstep
-    stack makes none): a swarm is moved in the box of the problem it first moves on, which
-    its archive and fitnesses already tie it to.  Its best fitness, best holder and
-    evaluation count are 0-d views of a lockstep stack's arrays only while it is stacked."""
+    """One run: the problem it was initialized on, swarm arrays (row i is particle i),
+    best-so-far archive, counters, and ``box``, its problem's bounds as ``(2, N, d)`` rows,
+    made on the swarm's first move (a lockstep stack makes none).  Its best fitness, best
+    holder and evaluation count are 0-d views of a lockstep stack's arrays only while it is
+    stacked."""
 
     pos: np.ndarray
     fit: np.ndarray
     ir: np.ndarray
     ex: np.ndarray
     rng: RandomStream
+    problem: ObjectiveProblem = field(repr=False)
     global_best_position: Optional[np.ndarray] = None
     global_best_fitness: float = math.inf
     best_holder_index: Optional[int] = None
@@ -274,16 +278,12 @@ def socialization(state: SwarmState, params: AlgorithmParams) -> None:
     state.ir[below] = np.minimum(ir + state.rng.draw(len(ir)) * ir, params._max_ir)
 
 
-def decay_all_ir(state: SwarmState, params: AlgorithmParams) -> None:
+def decay_all_ir(state: SwarmState) -> None:
     """Multiplicatively decay every particle's interactivity."""
     state.ir = np.maximum(state.rng.draw(len(state.ir)) * state.ir, IR_FLOOR_0D)
 
 
-def move_toward_best(
-    state: SwarmState,
-    problem: ObjectiveProblem,
-    selected: np.ndarray,
-) -> None:
+def move_toward_best(state: SwarmState, selected: np.ndarray) -> None:
     """Pull the particles in the boolean mask ``selected`` toward the archived best.
 
     They move by :func:`step` and are evaluated; those that land on the
@@ -294,6 +294,7 @@ def move_toward_best(
     if not k:
         return
     positions = state.pos.take(rows, axis=0)  # pos[rows], at a fraction of the indexing cost
+    problem = state.problem
     u = state.rng.draw(k * problem.dimension).reshape(k, problem.dimension)
     if state.box is None:
         state.box = np.stack((problem.lower_bounds, problem.upper_bounds))[:, None].repeat(
@@ -301,7 +302,7 @@ def move_toward_best(
     moved = step(positions, u, state.ir.take(rows), state.global_best_position,
                  state.box[0, :k], state.box[1, :k])
     state.pos[rows] = moved
-    evaluate_swarm(state, problem, rows, moved)
+    evaluate_swarm(state, rows, moved)
 
 
 def step(positions: np.ndarray, u: np.ndarray, ir: np.ndarray, best: np.ndarray,
@@ -321,14 +322,12 @@ def step(positions: np.ndarray, u: np.ndarray, ir: np.ndarray, best: np.ndarray,
     return moved
 
 
-def evaluate_swarm(
-    state: SwarmState, problem: ObjectiveProblem, rows: np.ndarray, points: np.ndarray
-) -> None:
+def evaluate_swarm(state: SwarmState, rows: np.ndarray, points: np.ndarray) -> None:
     """Set the fitness of the particles at index array ``rows`` to that of ``points``.
 
     ``points`` holds their positions, one row each (see :func:`fitness_of`).
     """
-    state.fit[rows] = fitness_of(problem, points)
+    state.fit[rows] = fitness_of(state.problem, points)
     state.eval_count += len(rows)
 
 
@@ -365,7 +364,7 @@ def maturation(state: SwarmState, params: AlgorithmParams) -> None:
     reward_best(state, params)
 
 
-def rationalizing(state: SwarmState, params: AlgorithmParams, problem: ObjectiveProblem) -> None:
+def rationalizing(state: SwarmState, params: AlgorithmParams) -> None:
     """Rescale interactivity against the best holder's, moving strugglers.
 
     The reference interactivity is read once up front: the repeated boosts
@@ -378,7 +377,7 @@ def rationalizing(state: SwarmState, params: AlgorithmParams, problem: Objective
     negative = state.ex < ZERO_0D
     ir = state.ir[negative]
     state.ir[negative] = np.minimum(ir + state.rng.draw(len(ir)) * (b / ir), params._max_ir)
-    move_toward_best(state, problem, negative)
+    move_toward_best(state, negative)
     positive = ~negative
     ir = state.ir[positive]
     m = len(ir)
@@ -389,7 +388,7 @@ def rationalizing(state: SwarmState, params: AlgorithmParams, problem: Objective
 
 def balancing(state: SwarmState, params: AlgorithmParams) -> None:
     """Decay all interactivity, then reward the fittest."""
-    decay_all_ir(state, params)
+    decay_all_ir(state)
     reward_best(state, params)
 
 
@@ -415,37 +414,39 @@ def initialize(params: AlgorithmParams, problem: ObjectiveProblem, seed: int) ->
         ir=np.full(n, params.initial_ir),
         ex=np.zeros(n, dtype=np.int64),
         rng=rng,
+        problem=problem,
     )
-    evaluate_swarm(state, problem, np.arange(n), state.pos)
+    evaluate_swarm(state, np.arange(n), state.pos)
     reward_best(state, params)
     return state
 
 
-def iterate(state: SwarmState, params: AlgorithmParams, problem: ObjectiveProblem) -> None:
-    """One full pass of the per-iteration phase sequence.
+def iterate(state: SwarmState, params: AlgorithmParams) -> None:
+    """One full pass of the per-iteration phase sequence, on the problem ``state`` was
+    initialized on.
 
     Order: socialization, interactivity decay, move (and evaluate) all but the
     best holder, reward, maturation, rationalizing, balancing.
     """
     socialization(state, params)
-    decay_all_ir(state, params)
+    decay_all_ir(state)
     others = np.arange(len(state.fit)) != state.best_holder_index
-    move_toward_best(state, problem, others)
+    move_toward_best(state, others)
     reward_best(state, params)
     maturation(state, params)
-    rationalizing(state, params, problem)
+    rationalizing(state, params)
     balancing(state, params)
     state.history.append(state.global_best_fitness)
 
 
-def collapsed(state: SwarmState, problem: ObjectiveProblem) -> bool:
+def collapsed(state: SwarmState) -> bool:
     """Whether every particle sits on the archived best for good, at the end of an
     iteration or of :func:`initialize`.
 
     True when every fitness is the archived best's, every position is the
     archived point bit for bit, and a zero step from that point, clamped as
-    :func:`step` clamps, lands on it bit for bit (so it has no
-    ``-0.0`` coordinate and lies in the box): then every later move lands on
+    :func:`step` clamps to the swarm's problem's box, lands on it bit for bit (so it has
+    no ``-0.0`` coordinate and lies in the box): then every later move lands on
     the archived point and gets its fitness again, so it changes no position,
     fitness or archive.  No fitness is below the archive's at either end, so
     most swarms cost one reduction.
@@ -454,6 +455,7 @@ def collapsed(state: SwarmState, problem: ObjectiveProblem) -> bool:
         return False
     best = state.global_best_position
     bits = best.view(np.int64)
+    problem = state.problem
     landing = np.minimum(np.maximum(best + 0.0, problem.lower_bounds), problem.upper_bounds)
     return bool(
         (landing.view(np.int64) == bits).all() and (state.pos.view(np.int64) == bits).all()
@@ -485,18 +487,18 @@ def fast_forward(state: SwarmState, iterations: int) -> None:
 
 def run(params: AlgorithmParams, problem: ObjectiveProblem, seed: int) -> RunResult:
     """Full optimization: initialize, then :func:`finish` the budget."""
-    return finish(initialize(params, problem, seed), params, problem)
+    return finish(initialize(params, problem, seed), params)
 
 
-def finish(state: SwarmState, params: AlgorithmParams, problem: ObjectiveProblem) -> RunResult:
-    """Iterate ``state`` on from the iterations its ``history`` holds to the budget, and
-    give its ``RunResult``; from the first iteration at which the swarm has
+def finish(state: SwarmState, params: AlgorithmParams) -> RunResult:
+    """Iterate ``state`` on its problem, from the iterations its ``history`` holds to the
+    budget, and give its ``RunResult``; from the first iteration at which the swarm has
     :func:`collapsed` (the 0th, right after :func:`initialize`, too), :func:`fast_forward`
     finishes the budget, as iterating would, bit for bit.  A stopped lockstep stack hands
     every swarm back with numbers and arrays of its own, so none finishes on a view of one."""
     for done in range(len(state.history), params.max_iterations):
-        if collapsed(state, problem):
+        if collapsed(state):
             fast_forward(state, params.max_iterations - done)
             break
-        iterate(state, params, problem)
+        iterate(state, params)
     return result(state)

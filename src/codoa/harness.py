@@ -21,16 +21,13 @@ from dataclasses import asdict, dataclass
 from itertools import chain
 
 from codoa.benchmarks import check_entry, make_problem
-from codoa.engine import (MAX_DRAW, AlgorithmParams, ConfigurationError, check_fields,
-                          checked, run)
+from codoa.engine import (MAX_DRAW, MAX_RUNS, AlgorithmParams, ConfigurationError,
+                          check_fields, checked, run)
 
 TABLE2_DIMENSIONS = (2, 5, 10, 20, 30)
 
 REPORT_FORMATS = ("csv", "json")
 
-# a pooled task holds each of its runs whole, history and all, until the task ends: 40-150 KB
-# a run at the reference 5,000 iterations, so 1,000 runs of one entry hold up to 150 MB
-MAX_RUNS = 1_000
 # one experiment's worker processes, each with its own numpy (about 30 MB); a constant, not
 # the host's core count, so that a config valid on one machine is valid on every one
 MAX_WORKERS = 64

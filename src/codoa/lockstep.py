@@ -3,8 +3,8 @@
 ``run_many(params, runs)`` gives ``[run(params, problem, seed) for problem, seed in
 runs]``, bit for bit, at a lower cost per run: at small swarms most of the engine's cost
 is per-call overhead, which one set of array calls over the stacked swarms shares.  It
-holds the runs as ``(problem, state)`` swarms from ``initialize`` on.  While at least
-``MIN_STACK`` of them have not :func:`engine.collapsed` and the budget is not spent,
+holds the runs as swarms from ``initialize`` on, each carrying its own problem.  While at
+least ``MIN_STACK`` of them have not :func:`engine.collapsed` and the budget is not spent,
 those go on one stack whatever their problems.  A stack holds the only copy of its
 swarms: until it stops, every field of a stacked ``SwarmState`` but its stream and
 history is a view of the stack, its arrays rows and its numbers 0-d entries.  It steps
@@ -21,8 +21,8 @@ made there.  Three swarms is the least that pays: at 50 particles x 50 iteration
 (2 vCPUs), a stack of booth, beale and goldstein_price at d = 2 cost 0.95x their solo
 runs, and of booth and beale alone 1.14x.
 
-``plan(runs, workers)`` is the stacking policy of an experiment: it deals its runs
-into tasks of one dimension, one ``run_many`` call each, for ``workers`` processes.
+``plan(runs, workers)`` deals an experiment's runs into tasks of one dimension and at most
+``MAX_RUNS`` runs, one ``run_many`` call each, for ``workers`` processes.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from itertools import groupby
 import numpy as np
 
 from codoa import engine
-from codoa.engine import AlgorithmParams, ConfigurationError, RunResult, checked
+from codoa.engine import MAX_RUNS, AlgorithmParams, ConfigurationError, RunResult, checked
 
 MIN_STACK = 3  # the fewest swarms a stack advances; fewer finish one by one
 
@@ -42,9 +42,10 @@ def plan(runs, workers: int) -> list[list[int]]:
     pairs ``runs``, one :func:`run_many` call each.
 
     Each dimension's runs make one task or, with fewer dimensions than ``W = min(workers,
-    len(runs))``, are dealt alternately over ``ceil(W / dimensions)`` tasks (runs 0, 2,
-    4, ... and 1, 3, 5, ... at W = 2).  Tasks go largest first by runs x dimension, a
-    proxy for the rows a move evaluates; the sort is stable.
+    len(runs))`` or more than ``MAX_RUNS`` runs, are dealt alternately over ``max(ceil(W /
+    dimensions), ceil(runs / MAX_RUNS))`` tasks (runs 0, 2, 4, ... and 1, 3, 5, ... at
+    W = 2), so that no task holds more than ``MAX_RUNS`` runs.  Tasks go largest first by
+    runs x dimension, a proxy for the rows a move evaluates; the sort is stable.
     """
     checked("workers", workers, "int", least=1)
     if not runs:
@@ -52,8 +53,9 @@ def plan(runs, workers: int) -> list[list[int]]:
     by_dimension = {}  # dimension -> the indices of its runs
     for i, (problem, _) in enumerate(runs):
         by_dimension.setdefault(problem.dimension, []).append(i)
-    share = -(-min(workers, len(runs)) // len(by_dimension))  # ceil(W / dimensions) tasks each
-    tasks = [ix[k::share] for ix in by_dimension.values() for k in range(min(share, len(ix)))]
+    least = -(-min(workers, len(runs)) // len(by_dimension))  # ceil(W / dimensions) tasks each
+    shares = [(ix, max(least, -(-len(ix) // MAX_RUNS))) for ix in by_dimension.values()]
+    tasks = [ix[k::share] for ix, share in shares for k in range(min(share, len(ix)))]
     tasks.sort(key=lambda ix: len(ix) * runs[ix[0]][0].dimension, reverse=True)  # stable
     return tasks
 
@@ -65,26 +67,25 @@ def run_many(params: AlgorithmParams, runs) -> list[RunResult]:
     dimensions = sorted({problem.dimension for problem, _ in runs})
     if len(dimensions) > 1:
         raise ConfigurationError(f"runs must be of one dimension, got dimensions {dimensions}")
-    swarms = [(problem, engine.initialize(params, problem, seed)) for problem, seed in runs]
-    live = [(problem, s) for problem, s in swarms if not engine.collapsed(s, problem)]
-    while len(live) >= MIN_STACK and len(live[0][1].history) < params.max_iterations:
+    swarms = [engine.initialize(params, problem, seed) for problem, seed in runs]
+    live = [s for s in swarms if not engine.collapsed(s)]
+    while len(live) >= MIN_STACK and len(live[0].history) < params.max_iterations:
         _Stack(params, live).advance()
-        live = [(problem, s) for problem, s in live if not engine.collapsed(s, problem)]
-    return [engine.finish(state, params, problem) for problem, state in swarms]
+        live = [s for s in live if not engine.collapsed(s)]
+    return [engine.finish(s, params) for s in swarms]
 
 
 class _Stack:
-    """The ``(problem, state)`` swarms, all of one dimension, as flat arrays: rows
-    ``r * N`` to ``r * N + N - 1`` of ``pos``, ``fit``, ``ir`` and ``ex`` are swarm
-    ``r``'s particles, and ``best_pos``, ``best_fit``, ``holder``, ``evals``, ``lower``
-    and ``upper`` (its problem's box) hold one entry per swarm.  Every field of swarm
-    ``r``'s state but its stream and history is a view of its rows or entries, until
-    :meth:`advance` hands the swarm back once.
+    """The swarms ``states``, all of one dimension, as flat arrays: rows ``r * N`` to
+    ``r * N + N - 1`` of ``pos``, ``fit``, ``ir`` and ``ex`` are swarm ``r``'s particles,
+    and ``best_pos``, ``best_fit``, ``holder``, ``evals``, ``lower`` and ``upper`` (the box
+    of its ``problem``) hold one entry per swarm.  Every field of swarm ``r``'s state but
+    its problem, stream and history is a view of its rows or entries, until :meth:`advance`
+    hands the swarm back once.
     """
 
-    def __init__(self, params: AlgorithmParams, swarms) -> None:
-        self.params, self.swarms = params, swarms
-        self.states = states = [s for _, s in swarms]
+    def __init__(self, params: AlgorithmParams, states) -> None:
+        self.params, self.states = params, states
         self.rngs = [s.rng for s in states]
         self.n = n = params.num_particles
         self.pos = np.concatenate([s.pos for s in states])
@@ -95,8 +96,8 @@ class _Stack:
         self.best_fit = np.array([s.global_best_fitness for s in states])
         self.holder = np.array([s.best_holder_index for s in states])  # within its swarm
         self.evals = np.array([s.eval_count for s in states])
-        self.lower = np.stack([problem.lower_bounds for problem, _ in swarms])
-        self.upper = np.stack([problem.upper_bounds for problem, _ in swarms])
+        self.lower = np.stack([s.problem.lower_bounds for s in states])
+        self.upper = np.stack([s.problem.upper_bounds for s in states])
         self.first = np.arange(len(states)) * n  # row of each swarm's particle 0
         self.swarm_of = np.repeat(np.arange(len(states)), n)
         self.everyone = np.ones(len(states) * n, dtype=bool)
@@ -107,7 +108,7 @@ class _Stack:
             s.best_holder_index, s.eval_count = self.holder[r, ...], self.evals[r, ...]
         # the problem of each stretch of adjacent swarms on one, and the row after it
         # (problems compare by identity)
-        adjacent = groupby(problem for problem, _ in swarms)
+        adjacent = groupby(s.problem for s in states)
         groups = [(problem, len(list(group))) for problem, group in adjacent]
         self.problems = [problem for problem, _ in groups]
         self.ends = np.cumsum([count for _, count in groups]) * n
@@ -119,7 +120,7 @@ class _Stack:
             self.iterate()
             # a swarm whose fitnesses all equal its best may have collapsed
             if (self.fit.reshape(-1, self.n).max(axis=1) == self.best_fit).any() and any(
-                    engine.collapsed(state, problem) for problem, state in self.swarms):
+                    map(engine.collapsed, self.states)):
                 break
         for s, fit, holder, evals in zip(self.states, self.best_fit.tolist(),
                                          self.holder.tolist(), self.evals.tolist()):

@@ -48,23 +48,28 @@ def box_problem(lower, upper, evaluator=None) -> ObjectiveProblem:
 
 
 def make_state(fitness, ir=None, ex=None, positions=None, rng=None,
-               gbest_pos=None, gbest_fit=None, holder=None) -> SwarmState:
+               gbest_pos=None, gbest_fit=None, holder=None, problem=None) -> SwarmState:
     """Assemble a SwarmState by hand for phase-level tests.
 
     Unless given explicitly, the archive is derived from the fittest
-    particle, matching the state right after an initialize.
+    particle, matching the state right after an initialize, and the problem
+    is a sum-of-squares box of the positions' dimension.
     """
     n = len(fitness)
     ir = [0.5] * n if ir is None else ir
     ex = [0] * n if ex is None else ex
     if positions is None:
         positions = [np.zeros(2) for _ in range(n)]
+    pos = np.array(positions, dtype=float)
+    if problem is None:
+        problem = box_problem([-10.0] * pos.shape[1], [10.0] * pos.shape[1])
     state = SwarmState(
-        pos=np.array(positions, dtype=float),
+        pos=pos,
         fit=np.array(fitness, dtype=float),
         ir=np.array(ir, dtype=float),
         ex=np.array(ex, dtype=np.int64),
         rng=rng if rng is not None else PinnedStream(0.5),
+        problem=problem,
     )
     if gbest_fit is None:
         best = min(range(n), key=lambda j: state.fit[j])

@@ -41,7 +41,6 @@ from codoa.harness import run_experiment, table2_grid
 from support import (
     PinnedStream,
     assert_iteration_boundary,
-    box_problem,
     make_state,
     mask,
 )
@@ -154,7 +153,7 @@ class TestInvariantSuite:
             previous = state.global_best_fitness
             for _ in range(params.max_iterations):
                 before = state.eval_count
-                iterate(state, params, problem)
+                iterate(state, params)
                 assert state.eval_count - before <= 2 * params.num_particles
                 assert state.global_best_fitness <= previous
                 previous = state.global_best_fitness
@@ -224,18 +223,17 @@ class TestPinnedEquationChecks:
         # decay: halve, and a zero draw pins to the floor
         state = make_state(fitness=[1.0, 2.0], ir=[0.4, 0.4],
                            rng=PinnedStream(0.5))
-        decay_all_ir(state, params)
+        decay_all_ir(state)
         checks.append(math.isclose(state.ir[0], 0.2))
         state = make_state(fitness=[1.0, 2.0], ir=[0.4, 0.4],
                            rng=PinnedStream(0.0))
-        decay_all_ir(state, params)
+        decay_all_ir(state)
         checks.append(state.ir[0] == IR_FLOOR)
 
-        # move: half a scaled gap of 2 with ir 0.5 advances 0.5
-        problem = box_problem([-10.0], [10.0])
+        # move: half a scaled gap of 2 with ir 0.5 advances 0.5, in a box from -10 to 10
         state = make_state(fitness=[5.0, 0.0], ir=[0.5, 0.5],
                            positions=[[1.0], [3.0]], rng=PinnedStream(0.5))
-        move_toward_best(state, problem, mask(2, 0))
+        move_toward_best(state, mask(2, 0))
         checks.append(math.isclose(state.pos[0, 0], 1.5))
 
         # maturation: only experience <= limit is boosted before the reward
@@ -247,17 +245,16 @@ class TestPinnedEquationChecks:
         checks.append(math.isclose(state.ir[2], 2.25))
 
         # rationalizing: ratio boost, and repeats keep the phase-start reference
-        problem = box_problem([-10.0, -10.0], [10.0, 10.0])
         state = make_state(fitness=[2.0, 1.0], ir=[0.5, 2.0], ex=[-1, 0],
                            positions=[[4.0, 4.0], [0.0, 0.0]],
                            gbest_pos=[0.0, 0.0], gbest_fit=1.0, holder=1,
                            rng=PinnedStream(0.5))
-        rationalizing(state, AlgorithmParams(rationality_rate=0), problem)
+        rationalizing(state, AlgorithmParams(rationality_rate=0))
         checks.append(math.isclose(state.ir[0], 2.5))
         state = make_state(fitness=[1.0, 2.0], ir=[1.0, 1.0], ex=[0, 0],
                            gbest_pos=[0.0, 0.0], gbest_fit=1.0, holder=0,
                            rng=PinnedStream(1.0))
-        rationalizing(state, AlgorithmParams(rationality_rate=2), problem)
+        rationalizing(state, AlgorithmParams(rationality_rate=2))
         checks.append(math.isclose(state.ir[0], 2.5))
 
         # zero draws: growth rules hold interactivity, moves hold positions
@@ -268,7 +265,7 @@ class TestPinnedEquationChecks:
         socialization(state, params)
         maturation(state, params)
         checks.append(all(v == 0.7 for v in state.ir))
-        rationalizing(state, params, problem)
+        rationalizing(state, params)
         checks.append(all(v == 0.7 for v in state.ir))
         checks.append(state.pos[1, 0] == 2.0)
 

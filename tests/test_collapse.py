@@ -34,7 +34,7 @@ def stepwise(params, problem, seed) -> RunResult:
     """``run`` without the shortcut: every iteration goes through ``iterate``."""
     state = initialize(params, problem, seed)
     for _ in range(params.max_iterations):
-        iterate(state, params, problem)
+        iterate(state, params)
     return engine.result(state)
 
 
@@ -69,8 +69,8 @@ def test_finish_iterates_from_the_swarms_history_to_the_budget(by_hand):
     params, problem = AlgorithmParams(max_iterations=20), make_problem("booth")
     state = initialize(params, problem, 1)
     for _ in range(by_hand):
-        iterate(state, params, problem)
-    result = engine.finish(state, params, problem)
+        iterate(state, params)
+    result = engine.finish(state, params)
     assert len(result.best_per_iteration) == params.max_iterations
     assert result == run(params, problem, 1)
 
@@ -82,7 +82,7 @@ SUB_ULP = box_problem([0.0, 0.0], [5e-324, 5e-324], lambda x: float(x.sum()))
 
 def test_a_swarm_collapsed_at_initialize_makes_no_iteration(monkeypatch):
     params = AlgorithmParams(num_particles=2, max_iterations=30)
-    assert collapsed(initialize(params, SUB_ULP, 8), SUB_ULP)
+    assert collapsed(initialize(params, SUB_ULP, 8))
     result, calls = counted_run(monkeypatch, params, SUB_ULP, 8)
     assert result == stepwise(params, SUB_ULP, 8)
     assert calls == 0
@@ -91,7 +91,7 @@ def test_a_swarm_collapsed_at_initialize_makes_no_iteration(monkeypatch):
 def test_swarms_collapsed_at_initialize_give_the_stepwise_results_in_lockstep():
     params = AlgorithmParams(num_particles=2, max_iterations=30)
     seeds = [8, 10, 17, 25, 0]  # and one, seed 0, that does not collapse there
-    at_start = [collapsed(initialize(params, SUB_ULP, s), SUB_ULP) for s in seeds]
+    at_start = [collapsed(initialize(params, SUB_ULP, s)) for s in seeds]
     assert at_start == [True] * 4 + [False]
     assert run_many(params, [(SUB_ULP, s) for s in seeds]) == [
         stepwise(params, SUB_ULP, s) for s in seeds]
@@ -154,12 +154,12 @@ def test_fast_forward_equals_iterating_a_collapsed_swarm(ex, holder, fitness, it
     def collapsed_state():
         return make_state(fitness=[fitness] * n, ex=ex, positions=[[1.0, 3.0]] * n,
                           rng=RandomStream(1), gbest_pos=[1.0, 3.0], gbest_fit=fitness,
-                          holder=holder % n)
+                          holder=holder % n, problem=problem)
 
     stepped, forwarded = collapsed_state(), collapsed_state()
     for _ in range(iterations):
-        iterate(stepped, AlgorithmParams(), problem)
-        assert collapsed(stepped, problem)
+        iterate(stepped, AlgorithmParams())
+        assert collapsed(stepped)
     fast_forward(forwarded, iterations)
     assert forwarded.ex.tolist() == stepped.ex.tolist()
     assert forwarded.eval_count == stepped.eval_count
@@ -172,36 +172,34 @@ class TestCollapsed:
 
     BEST = [1.0, 3.0]
 
-    def state(self, best=None, positions=None, fitness=None):
+    def state(self, best=None, positions=None, fitness=None, problem=None):
+        """Three particles in a box from -10 to 10 unless ``problem`` is given."""
         best = self.BEST if best is None else best
         return make_state(
             fitness=[5.0, 5.0, 5.0] if fitness is None else fitness,
             positions=[best] * 3 if positions is None else positions,
-            gbest_pos=best, gbest_fit=5.0, holder=1,
+            gbest_pos=best, gbest_fit=5.0, holder=1, problem=problem,
         )
 
     def test_every_particle_on_the_best_is_collapsed(self):
-        assert collapsed(self.state(), box_problem([-10.0, -10.0], [10.0, 10.0]))
+        assert collapsed(self.state())
 
     def test_a_coordinate_one_ulp_off(self):
         off = [1.0, np.nextafter(3.0, 4.0)]
-        state = self.state(positions=[self.BEST, off, self.BEST])
-        assert not collapsed(state, box_problem([-10.0, -10.0], [10.0, 10.0]))
+        assert not collapsed(self.state(positions=[self.BEST, off, self.BEST]))
 
     def test_one_fitness_differs(self):
-        state = self.state(fitness=[5.0, 5.0, 6.0])
-        assert not collapsed(state, box_problem([-10.0, -10.0], [10.0, 10.0]))
+        assert not collapsed(self.state(fitness=[5.0, 5.0, 6.0]))
 
     def test_a_minus_zero_coordinate_on_the_best(self):
         # a move adds +0.0, which turns -0.0 into +0.0: a change of position
-        state = self.state(best=[-0.0, 3.0])
-        assert not collapsed(state, box_problem([-10.0, -10.0], [10.0, 10.0]))
+        assert not collapsed(self.state(best=[-0.0, 3.0]))
 
     def test_a_best_one_ulp_outside_the_box(self):
         upper = np.nextafter(3.0, 0.0)
-        assert not collapsed(self.state(), box_problem([-10.0, -10.0], [10.0, upper]))
+        assert not collapsed(self.state(problem=box_problem([-10.0, -10.0], [10.0, upper])))
 
     def test_a_plus_zero_best_on_a_minus_zero_lower_bound(self):
         # the clamp is np.maximum, which returns the bound when the two compare equal
-        state = self.state(best=[0.0, 3.0])
-        assert not collapsed(state, box_problem([-0.0, -10.0], [10.0, 10.0]))
+        state = self.state(best=[0.0, 3.0], problem=box_problem([-0.0, -10.0], [10.0, 10.0]))
+        assert not collapsed(state)

@@ -91,19 +91,19 @@ class TestSocialization:
 class TestDecayAllIr:
     def test_halves_under_pinned_half(self):
         state = make_state(fitness=[1.0, 2.0], ir=[0.4, 0.8], rng=PinnedStream(0.5))
-        decay_all_ir(state, PARAMS)
+        decay_all_ir(state)
         assert state.ir[0] == pytest.approx(0.2)
         assert state.ir[1] == pytest.approx(0.4)
 
     def test_zero_rand_engages_the_floor(self):
         state = make_state(fitness=[1.0, 2.0], ir=[0.4, 0.4], rng=PinnedStream(0.0))
-        decay_all_ir(state, PARAMS)
+        decay_all_ir(state)
         assert all(v == IR_FLOOR for v in state.ir)
 
     def test_decay_never_exceeds_current_value(self):
         state = make_state(fitness=[1.0, 2.0], ir=[10.0, 10.0],
                            rng=PinnedStream(1.0 - 1e-12))
-        decay_all_ir(state, PARAMS)
+        decay_all_ir(state)
         assert all(v < 10.0 for v in state.ir)
 
 
@@ -111,8 +111,8 @@ class TestMoveTowardBest:
     def test_steps_half_the_scaled_gap(self):
         problem = box_problem([-10.0], [10.0])
         state = make_state(fitness=[5.0, 0.0], ir=[0.5, 0.5],
-                           positions=[[1.0], [3.0]], rng=PinnedStream(0.5))
-        move_toward_best(state, problem, mask(2, 0))
+                           positions=[[1.0], [3.0]], rng=PinnedStream(0.5), problem=problem)
+        move_toward_best(state, mask(2, 0))
         assert state.pos[0, 0] == pytest.approx(1.5)
         assert state.fit.tolist() == [problem.evaluator(state.pos[0]), 0.0]
         assert state.eval_count == 1
@@ -121,15 +121,15 @@ class TestMoveTowardBest:
         problem = box_problem([-10.0, -10.0], [10.0, 10.0])
         state = make_state(fitness=[0.0, 1.0], ir=[7.0, 7.0],
                            positions=[[2.0, -3.0], [2.0, -3.0]],
-                           rng=RandomStream(3))
-        move_toward_best(state, problem, mask(2, 0, 1))
+                           rng=RandomStream(3), problem=problem)
+        move_toward_best(state, mask(2, 0, 1))
         np.testing.assert_array_equal(state.pos[1], [2.0, -3.0])
 
     def test_zero_rand_leaves_positions_unchanged(self):
         problem = box_problem([-10.0, -10.0], [10.0, 10.0])
         state = make_state(fitness=[0.0, 1.0], positions=[[0.0, 0.0], [4.0, -2.0]],
-                           rng=PinnedStream(0.0))
-        move_toward_best(state, problem, mask(2, 0, 1))
+                           rng=PinnedStream(0.0), problem=problem)
+        move_toward_best(state, mask(2, 0, 1))
         np.testing.assert_array_equal(state.pos[1], [4.0, -2.0])
 
     def test_never_overshoots_when_ir_at_most_one(self):
@@ -141,8 +141,8 @@ class TestMoveTowardBest:
             goal = rng.uniform(-50, 50, 3)
             state = make_state(fitness=[1.0, 0.0], ir=[max(ir, 1e-6)] * 2,
                                positions=[start.copy(), goal.copy()],
-                               rng=RandomStream(trial))
-            move_toward_best(state, problem, mask(2, 0))
+                               rng=RandomStream(trial), problem=problem)
+            move_toward_best(state, mask(2, 0))
             moved = state.pos[0]
             # each coordinate lands between its start and the goal
             assert np.all(np.abs(moved - goal) <= np.abs(start - goal) + 1e-12)
@@ -153,9 +153,9 @@ class TestMoveTowardBest:
         state = make_state(fitness=[0.5, 3.0, 4.0], ir=[1.0, 1.0, 1.0],
                            positions=[[5.0, 5.0], [1.0, 1.0], [2.0, 2.0]],
                            gbest_pos=[0.0, 0.0], gbest_fit=0.4, holder=0,
-                           rng=PinnedStream(0.5))
+                           rng=PinnedStream(0.5), problem=problem)
         holder = state.best_holder_index
-        move_toward_best(state, problem, ~mask(3, holder))
+        move_toward_best(state, ~mask(3, holder))
         np.testing.assert_array_equal(state.pos[0], [5.0, 5.0])
         np.testing.assert_array_equal(state.pos[1], [0.5, 0.5])
         np.testing.assert_array_equal(state.pos[2], [1.0, 1.0])
@@ -165,16 +165,17 @@ class TestMoveTowardBest:
     def test_moves_are_clamped_into_the_box(self):
         problem = box_problem([-1.0], [1.0])
         state = make_state(fitness=[1.0, 0.0], ir=[10.0, 10.0],
-                           positions=[[-1.0], [1.0]], rng=PinnedStream(0.9))
-        move_toward_best(state, problem, mask(2, 0))
+                           positions=[[-1.0], [1.0]], rng=PinnedStream(0.9), problem=problem)
+        move_toward_best(state, mask(2, 0))
         # raw step: -1 + 0.9 * 10 * 2 = 17, clamped to the box edge
         assert state.pos[0, 0] == 1.0
 
     def test_clamp_engages_per_coordinate(self):
         problem = make_problem("booth", 2)
         state = make_state(fitness=[1.0, 0.0], ir=[10.0, 10.0],
-                           positions=[[-10.0, 3.0], [10.0, 3.0]], rng=PinnedStream(0.9))
-        move_toward_best(state, problem, mask(2, 0))
+                           positions=[[-10.0, 3.0], [10.0, 3.0]], rng=PinnedStream(0.9),
+                           problem=problem)
+        move_toward_best(state, mask(2, 0))
         # x would step to 170 and stops at the box edge; y has no gap and stays
         np.testing.assert_array_equal(state.pos[0], [10.0, 3.0])
 
@@ -182,16 +183,16 @@ class TestMoveTowardBest:
         problem = make_problem("sphere", 2)
         state = make_state(fitness=[1.0, 0.0], ir=[10.0, 10.0],
                            positions=[[100.0, -100.0], [-100.0, 100.0]],
-                           rng=PinnedStream(0.9))
-        move_toward_best(state, problem, mask(2, 0))
+                           rng=PinnedStream(0.9), problem=problem)
+        move_toward_best(state, mask(2, 0))
         np.testing.assert_array_equal(state.pos[0], [-100.0, 100.0])
 
     def test_per_dimension_rand_draws_fresh_factors(self):
         problem = box_problem([-10.0, -10.0], [10.0, 10.0])
         state = make_state(fitness=[1.0, 0.0], ir=[1.0, 1.0],
                            positions=[[0.0, 0.0], [1.0, 1.0]],
-                           rng=SequenceStream([0.25, 0.75]))
-        move_toward_best(state, problem, mask(2, 0))
+                           rng=SequenceStream([0.25, 0.75]), problem=problem)
+        move_toward_best(state, mask(2, 0))
         np.testing.assert_allclose(state.pos[0], [0.25, 0.75])
 
 
@@ -227,8 +228,8 @@ class TestEveryMoveIsEvaluated:
         problem, seen = logged_sphere(path)
         # the archive is particle 0 at (1, 0), fitness 1; particle 1 moves
         state = make_state(fitness=[1.0, sphere_loop(start)], ir=[ir, ir],
-                           positions=[[1.0, 0.0], start], rng=PinnedStream(u))
-        move_toward_best(state, problem, mask(2, 1))
+                           positions=[[1.0, 0.0], start], rng=PinnedStream(u), problem=problem)
+        move_toward_best(state, mask(2, 1))
         assert seen == [state.pos[1].tolist()]
         assert state.eval_count == 1 and type(state.eval_count) is int
         assert_iteration_boundary(state, PARAMS, box_problem([-10.0, -10.0], [10.0, 10.0]))
@@ -239,8 +240,8 @@ class TestEveryMoveIsEvaluated:
         # particles 0, 1 and 3 sit on the archived point (1, 0) with its fitness
         state = make_state(fitness=[1.0, 1.0, 9.0, 1.0], ir=[0.5] * 4,
                            positions=[[1.0, 0.0], [1.0, 0.0], [3.0, 0.0], [1.0, 0.0]],
-                           holder=1, rng=PinnedStream(0.5))
-        move_toward_best(state, problem, mask(4, 0, 2, 3))
+                           holder=1, rng=PinnedStream(0.5), problem=problem)
+        move_toward_best(state, mask(4, 0, 2, 3))
         assert seen == [[1.0, 0.0], [2.5, 0.0], [1.0, 0.0]]
         assert state.fit.tolist() == [1.0, 1.0, 6.25, 1.0]
         assert state.eval_count == 3
@@ -249,8 +250,8 @@ class TestEveryMoveIsEvaluated:
     def test_a_minus_zero_coordinate_turned_plus_zero_is_a_move(self, path):
         problem, seen = logged_sphere(path)
         state = make_state(fitness=[4.0, 4.0], positions=[[-0.0, 2.0], [-0.0, 2.0]],
-                           rng=PinnedStream(0.5))
-        move_toward_best(state, problem, mask(2, 1))
+                           rng=PinnedStream(0.5), problem=problem)
+        move_toward_best(state, mask(2, 1))
         # -0.0 + 0.5 * (0.5 * (-0.0 - -0.0)) is -0.0 + 0.0, which is +0.0
         assert not np.signbit(state.pos[1, 0])
         assert seen == [[0.0, 2.0]]
@@ -291,8 +292,8 @@ class TestRationalizing:
         state = make_state(fitness=[2.0, 1.0], ir=[0.5, 2.0], ex=[-1, 0],
                            positions=[[4.0, 4.0], [0.0, 0.0]],
                            gbest_pos=[0.0, 0.0], gbest_fit=1.0, holder=1,
-                           rng=PinnedStream(0.5))
-        rationalizing(state, AlgorithmParams(rationality_rate=0), problem)
+                           rng=PinnedStream(0.5), problem=problem)
+        rationalizing(state, AlgorithmParams(rationality_rate=0))
         # 0.5 + 0.5 * (2.0 / 0.5) = 2.5, then the particle moves toward the best
         assert state.ir[0] == pytest.approx(2.5)
         assert state.pos[0, 0] < 4.0
@@ -303,8 +304,8 @@ class TestRationalizing:
         problem = box_problem([-10.0, -10.0], [10.0, 10.0])
         state = make_state(fitness=[2.0, 1.0], ir=[0.7, 2.0], ex=[3, 0],
                            gbest_pos=[0.0, 0.0], gbest_fit=1.0, holder=1,
-                           rng=PinnedStream(0.5))
-        rationalizing(state, AlgorithmParams(rationality_rate=0), problem)
+                           rng=PinnedStream(0.5), problem=problem)
+        rationalizing(state, AlgorithmParams(rationality_rate=0))
         assert state.ir[0] == 0.7
         assert state.ir[1] == 2.0
 
@@ -312,8 +313,8 @@ class TestRationalizing:
         problem = box_problem([-10.0, -10.0], [10.0, 10.0])
         state = make_state(fitness=[1.0, 2.0], ir=[1.0, 1.0], ex=[0, 0],
                            gbest_pos=[0.0, 0.0], gbest_fit=1.0, holder=0,
-                           rng=PinnedStream(1.0))
-        rationalizing(state, AlgorithmParams(rationality_rate=2), problem)
+                           rng=PinnedStream(1.0), problem=problem)
+        rationalizing(state, AlgorithmParams(rationality_rate=2))
         # reference stays 1.0: pass one gives 1 + 1/1 = 2, pass two 2 + 1/2 = 2.5
         assert state.ir[0] == pytest.approx(2.5)
         assert state.ir[1] == pytest.approx(2.5)
@@ -324,8 +325,8 @@ class TestRationalizing:
                            ex=[-2, 5, 0],
                            positions=[[4.0, 4.0], [0.0, 0.0], [1.0, 1.0]],
                            gbest_pos=[0.0, 0.0], gbest_fit=1.0, holder=1,
-                           rng=PinnedStream(0.5))
-        rationalizing(state, PARAMS, problem)
+                           rng=PinnedStream(0.5), problem=problem)
+        rationalizing(state, PARAMS)
         assert state.fit[0] == problem.evaluator(state.pos[0])  # moved
         assert state.fit[1:].tolist() == [1.0, 3.0]  # ex >= 0, boost only
         assert state.eval_count == 1
@@ -358,7 +359,7 @@ class TestIterate:
         params = AlgorithmParams(num_particles=10, max_iterations=3)
         problem = make_problem("booth", 2)
         state = initialize(params, problem, seed=2)
-        iterate(state, params, problem)
+        iterate(state, params)
         assert len(state.history) == 1
         assert state.history[0] == state.global_best_fitness
 
@@ -368,7 +369,7 @@ class TestIterate:
         state = initialize(params, problem, seed=8)
         for _ in range(5):
             before = state.eval_count
-            iterate(state, params, problem)
+            iterate(state, params)
             assert state.eval_count - before <= 2 * params.num_particles
 
     def test_archive_is_monotone_across_iterations(self):
@@ -377,6 +378,6 @@ class TestIterate:
         state = initialize(params, problem, seed=21)
         previous = state.global_best_fitness
         for _ in range(20):
-            iterate(state, params, problem)
+            iterate(state, params)
             assert state.global_best_fitness <= previous
             previous = state.global_best_fitness

@@ -97,7 +97,7 @@ def test_invariants_hold_through_random_short_runs():
         previous_best = state.global_best_fitness
         for _ in range(params.max_iterations):
             before = state.eval_count
-            iterate(state, params, problem)
+            iterate(state, params)
             assert state.eval_count - before <= 2 * params.num_particles
             assert counter["calls"] == state.eval_count
             assert state.global_best_fitness <= previous_best
@@ -112,8 +112,8 @@ def test_full_run_accounting_matches_external_count(monkeypatch):
     problem, counter = counting_problem(make_problem("booth", 2))
     iterations = [0]
 
-    def checked_iterate(state, params, problem):
-        iterate(state, params, problem)
+    def checked_iterate(state, params):
+        iterate(state, params)
         assert counter["calls"] == state.eval_count
         iterations[0] += 1
 

@@ -163,12 +163,11 @@ class TestInteractivityClamps:
 
     def test_a_boost_is_capped_at_max_ir(self):
         params = AlgorithmParams(rationality_rate=1)
-        problem = box_problem([-10.0, -10.0], [10.0, 10.0])
         phases = {
             "socialization": lambda state: socialization(state, params),
             "maturation": lambda state: maturation(state, params),
             "reward_best": lambda state: reward_best(state, params),
-            "rationalizing": lambda state: rationalizing(state, params, problem),
+            "rationalizing": lambda state: rationalizing(state, params),
         }
         for name, phase in phases.items():
             # particle 0 is the fittest, below the mean, and takes rationalizing's repeated
@@ -300,33 +299,36 @@ class TestRewardBest:
 
 class TestEvaluateSwarm:
     def test_sphere_origin_has_zero_fitness(self):
-        state = make_state(fitness=[math.inf], positions=[[0.0, 0.0]])
+        state = make_state(fitness=[math.inf], positions=[[0.0, 0.0]],
+                           problem=make_problem("sphere", 2))
         rows = np.array([0])
-        evaluate_swarm(state, make_problem("sphere", 2), rows, state.pos[rows])
+        evaluate_swarm(state, rows, state.pos[rows])
         assert state.fit[0] == 0.0
         assert state.eval_count == 1
 
     def test_only_the_given_rows_are_evaluated(self):
         state = make_state(fitness=[1.0, 2.0, 3.0],
-                           positions=[[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+                           positions=[[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]],
+                           problem=make_problem("sphere", 2))
         rows = np.array([1])
-        evaluate_swarm(state, make_problem("sphere", 2), rows, state.pos[rows])
+        evaluate_swarm(state, rows, state.pos[rows])
         assert state.eval_count == 1
         assert state.fit.tolist() == [1.0, 4.0, 3.0]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_become_plus_infinity(self, bad):
         problem = box_problem([-1.0], [1.0], evaluator=lambda x: bad)
-        state = make_state(fitness=[0.0], positions=[[0.0]])
+        state = make_state(fitness=[0.0], positions=[[0.0]], problem=problem)
         rows = np.array([0])
-        evaluate_swarm(state, problem, rows, state.pos[rows])
+        evaluate_swarm(state, rows, state.pos[rows])
         assert state.fit[0] == math.inf
 
 
 class TestEvaluationPaths:
     @staticmethod
-    def _unevaluated_state(positions):
-        return make_state(fitness=[math.inf] * len(positions), positions=positions)
+    def _unevaluated_state(positions, problem):
+        return make_state(fitness=[math.inf] * len(positions), positions=positions,
+                          problem=problem)
 
     def test_batch_form_gets_all_given_rows_in_one_call(self):
         calls = []
@@ -339,10 +341,10 @@ class TestEvaluationPaths:
             return np.square(points).sum(axis=1)
 
         objective.batch = batch
-        state = self._unevaluated_state([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
         problem = box_problem([-5.0, -5.0], [5.0, 5.0], objective)
+        state = self._unevaluated_state([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], problem)
         rows = np.array([0, 2])
-        evaluate_swarm(state, problem, rows, state.pos[rows])
+        evaluate_swarm(state, rows, state.pos[rows])
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0], [[1.0, 0.0], [3.0, 0.0]])
         assert state.fit.tolist() == [1.0, math.inf, 9.0]
@@ -355,9 +357,10 @@ class TestEvaluationPaths:
             seen.append(float(x[0]))
             return float(x[0])
 
-        state = self._unevaluated_state([[3.0], [1.0], [2.0]])
+        state = self._unevaluated_state([[3.0], [1.0], [2.0]],
+                                        box_problem([-5.0], [5.0], objective))
         rows = np.arange(3)
-        evaluate_swarm(state, box_problem([-5.0], [5.0], objective), rows, state.pos[rows])
+        evaluate_swarm(state, rows, state.pos[rows])
         assert seen == [3.0, 1.0, 2.0]
         assert state.fit.tolist() == [3.0, 1.0, 2.0]
         assert state.eval_count == 3
@@ -369,9 +372,9 @@ class TestEvaluationPaths:
         objective.batch = lambda points: np.zeros(len(points))  # deliberately wrong
         plain = box_problem([-5.0, -5.0], [5.0, 5.0], objective)
         swapped = dataclasses.replace(plain, evaluator=lambda x: objective(x) + 1.0)
-        state = self._unevaluated_state([[1.0, 0.0], [2.0, 0.0]])
+        state = self._unevaluated_state([[1.0, 0.0], [2.0, 0.0]], swapped)
         rows = np.arange(2)
-        evaluate_swarm(state, swapped, rows, state.pos[rows])
+        evaluate_swarm(state, rows, state.pos[rows])
         assert state.fit.tolist() == [2.0, 5.0]
 
     @pytest.mark.parametrize("path, result", [
@@ -403,12 +406,12 @@ class TestEvaluationPaths:
             objective.batch = result
         else:
             objective = result
-        state = self._unevaluated_state([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        state = self._unevaluated_state([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]],
+                                        box_problem([-5.0, -5.0], [5.0, 5.0], objective))
         rows = np.arange(3)
         source = r"evaluator\.batch" if path == "batch" else "evaluator"
         with pytest.raises(ConfigurationError, match=rf"{source} .*\(3,\)"):
-            evaluate_swarm(state, box_problem([-5.0, -5.0], [5.0, 5.0], objective), rows,
-                           state.pos[rows])
+            evaluate_swarm(state, rows, state.pos[rows])
 
     @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float32])
     def test_batch_result_of_integers_or_narrow_floats_is_stored_as_float(self, dtype):
@@ -416,10 +419,10 @@ class TestEvaluationPaths:
             return float(np.square(x).sum())
 
         objective.batch = lambda points: np.square(points).sum(axis=1).astype(dtype)
-        state = self._unevaluated_state([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        state = self._unevaluated_state([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]],
+                                        box_problem([-5.0, -5.0], [5.0, 5.0], objective))
         rows = np.arange(3)
-        evaluate_swarm(state, box_problem([-5.0, -5.0], [5.0, 5.0], objective), rows,
-                       state.pos[rows])
+        evaluate_swarm(state, rows, state.pos[rows])
         assert state.fit.dtype == np.float64
         assert state.fit.tolist() == [1.0, 4.0, 9.0]
 
@@ -428,10 +431,10 @@ class TestEvaluationPaths:
             return float(np.square(x).sum())
 
         objective.batch = lambda points: np.square(points).sum(axis=1).tolist()
-        state = self._unevaluated_state([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        state = self._unevaluated_state([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]],
+                                        box_problem([-5.0, -5.0], [5.0, 5.0], objective))
         rows = np.arange(3)
-        evaluate_swarm(state, box_problem([-5.0, -5.0], [5.0, 5.0], objective), rows,
-                       state.pos[rows])
+        evaluate_swarm(state, rows, state.pos[rows])
         assert state.fit.tolist() == [1.0, 4.0, 9.0]
 
     @pytest.mark.parametrize("path", ["batch", "rows"])
@@ -443,9 +446,10 @@ class TestEvaluationPaths:
 
         if path == "batch":
             objective.batch = lambda points: np.array([values[int(r[0])] for r in points])
-        state = self._unevaluated_state([[0.0], [1.0], [2.0], [3.0]])
+        state = self._unevaluated_state([[0.0], [1.0], [2.0], [3.0]],
+                                        box_problem([-5.0], [5.0], objective))
         rows = np.arange(4)
-        evaluate_swarm(state, box_problem([-5.0], [5.0], objective), rows, state.pos[rows])
+        evaluate_swarm(state, rows, state.pos[rows])
         assert state.fit.tolist() == [math.inf, math.inf, math.inf, 1.5]
         assert state.eval_count == 4
 
@@ -463,6 +467,7 @@ class TestInitialize:
         params = AlgorithmParams()
         problem = make_problem("booth", 2)
         state = initialize(params, problem, seed=11)
+        assert state.problem is problem
         assert state.pos.shape == (50, 2)
         assert np.all(state.pos >= -10.0) and np.all(state.pos <= 10.0)
         assert state.fit.tolist() == [problem.evaluator(x) for x in state.pos]

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from codoa import engine, lockstep
 from codoa.benchmarks import REGISTRY, make_problem
-from codoa.engine import IR_FLOOR, MAX_IR, AlgorithmParams, ConfigurationError, run
+from codoa.engine import IR_FLOOR, MAX_IR, MAX_RUNS, AlgorithmParams, ConfigurationError, run
 from codoa.harness import MAX_WORKERS, table2_grid
 from codoa.lockstep import MIN_STACK, plan, run_many
 
@@ -223,10 +223,10 @@ def test_repeated_seeds_and_order_are_kept():
 def test_a_stack_holds_the_only_copy_of_its_swarms():
     params = AlgorithmParams(num_particles=5, max_iterations=10)
     runs = [(BOOTH, 1), (TABLE2_D2["beale"], 2), (BOOTH, 3)]
-    swarms = [(problem, engine.initialize(params, problem, seed)) for problem, seed in runs]
+    swarms = [engine.initialize(params, problem, seed) for problem, seed in runs]
     stack = lockstep._Stack(params, swarms)
     for when in ("built", "iterated"):
-        for r, (_, state) in enumerate(swarms):
+        for r, state in enumerate(swarms):
             rows = slice(r * 5, r * 5 + 5)
             for name in ("pos", "fit", "ir", "ex"):
                 assert np.shares_memory(getattr(state, name), getattr(stack, name)[rows]), (
@@ -252,7 +252,7 @@ def test_a_stacked_swarm_reads_as_a_solo_one_after_every_iteration(monkeypatch):
 
     def iterate(self):
         original(self)
-        stacked.append([snapshot(state) for _, state in self.swarms])
+        stacked.append([snapshot(state) for state in self.states])
 
     original = lockstep._Stack.iterate
     monkeypatch.setattr(lockstep._Stack, "iterate", iterate)
@@ -266,7 +266,7 @@ def test_a_stacked_swarm_reads_as_a_solo_one_after_every_iteration(monkeypatch):
         state = engine.initialize(params, problem, seed)
         solo.append([])
         for _ in range(params.max_iterations):
-            engine.iterate(state, params, problem)
+            engine.iterate(state, params)
             solo[-1].append(snapshot(state))
     # none collapses, so all four stay on one stack for every iteration
     assert stacked == [list(iteration) for iteration in zip(*solo)]
@@ -369,7 +369,7 @@ def test_a_move_makes_one_objective_call_per_problem_it_moves(monkeypatch):
     def move(stack, mask):
         before = calls()
         original(stack, mask)
-        moved = {stack.swarms[r][0] for r in stack.swarm_of[mask].tolist()}
+        moved = {stack.states[r].problem for r in stack.swarm_of[mask].tolist()}
         moves.append(([after - b for after, b in zip(calls(), before)],
                       [int(p in moved) for p in problems]))
 
@@ -418,10 +418,10 @@ def test_swarms_that_go_flat_without_collapsing_stay_on_one_stack(monkeypatch):
 def test_swarms_fewer_than_min_stack_finish_on_runs_own_loop(monkeypatch):
     finished = []
 
-    def finish(state, params, problem):
-        finished.append((problem, state.rng.seed, len(state.history),
-                         engine.collapsed(state, problem)))
-        return original(state, params, problem)
+    def finish(state, params):
+        finished.append((state.problem, state.rng.seed, len(state.history),
+                         engine.collapsed(state)))
+        return original(state, params)
 
     original = engine.finish
     monkeypatch.setattr(engine, "finish", finish)
@@ -453,11 +453,11 @@ def test_swarms_too_few_to_stack_keep_no_view_of_the_last_stack(monkeypatch):
         arrays[:] = [weakref.ref(getattr(self, name))
                      for name in ("pos", "fit", "ir", "ex", "best_pos")]
 
-    def finish(state, params, problem):
+    def finish(state, params):
         gc.collect()
-        finished.append((state.rng.seed, engine.collapsed(state, problem),
+        finished.append((state.rng.seed, engine.collapsed(state),
                          any(ref() is not None for ref in arrays)))
-        return original_finish(state, params, problem)
+        return original_finish(state, params)
 
     original_init, original_finish = lockstep._Stack.__init__, engine.finish
     monkeypatch.setattr(lockstep._Stack, "__init__", init)
@@ -479,8 +479,9 @@ SUB_ULP = box_problem([0.0, 0.0], [5e-324, 5e-324], lambda x: float(x.sum()))
 
 
 @pytest.mark.parametrize("num_particles, max_iterations, runs, at_initialize", [
-    # the swarms collapse one by one, mid-stack, until two are left, too few to stack
-    (12, 300, [(BOOTH, seed) for seed in range(12)], []),
+    # the swarms collapse one by one, mid-stack, until two are left, too few to stack; their
+    # problems alternate between two booths, so a swarm handed back with another's would show
+    (12, 300, [(TABLE2_D2["booth"] if seed % 2 else BOOTH, seed) for seed in range(12)], []),
     # four swarms have collapsed at initialize and never enter a stack; the second stack
     # leaves the last swarm alone
     (2, 30, [(SUB_ULP, seed) for seed in range(28)], [8, 10, 17, 25]),
@@ -496,19 +497,20 @@ def test_every_run_ends_in_one_finish_in_run_order_with_no_stack_left(
         arrays.extend(weakref.ref(getattr(self, name))
                       for name in ("pos", "fit", "ir", "ex", "best_pos"))
 
-    def finish(state, params, problem):
+    def finish(state, params):
         gc.collect()
         reachable.append(sum(ref() is not None for ref in arrays))
-        finished.append((problem, state.rng.seed, len(state.history),
-                         engine.collapsed(state, problem)))
-        return original_finish(state, params, problem)
+        finished.append((state.problem, state.rng.seed, len(state.history),
+                         engine.collapsed(state)))
+        return original_finish(state, params)
 
     original_init, original_finish = lockstep._Stack.__init__, engine.finish
     monkeypatch.setattr(lockstep._Stack, "__init__", init)
     monkeypatch.setattr(engine, "finish", finish)
     params = AlgorithmParams(num_particles=num_particles, max_iterations=max_iterations)
     results = run_many(params, runs)
-    assert [call[:2] for call in finished] == runs  # one call per run, in run order
+    # one call per run, in run order, each swarm with its own run's problem
+    assert [call[:2] for call in finished] == runs
     assert len(arrays) >= 2 * 5 and reachable == [0] * len(runs)  # two stacks or more, freed
     assert [seed for _, seed, done, _ in finished if done == 0] == at_initialize
     mid_stack = [seed for _, seed, done, gone in finished if gone and 0 < done < max_iterations]
@@ -532,6 +534,9 @@ def planned(entries, runs, workers):
     (GRID15, 2, 2, [(30, 4), (20, 4), (10, 4), (2, 14), (5, 4)]),
     (GRID15, 1, 2, [(30, 2), (20, 2), (10, 2), (2, 7), (5, 2)]),
     (GRID15, 5, 2, [(30, 10), (20, 10), (10, 10), (2, 35), (5, 10)]),
+    # grid15 at MAX_RUNS: each dimension's runs dealt over tasks of at most MAX_RUNS runs
+    (GRID15, MAX_RUNS, 2, [(30, 1000)] * 2 + [(20, 1000)] * 2 + [(10, 1000)] * 2
+     + [(5, 1000)] * 2 + [(2, 1000)] * 7),
     # booth-2 and sphere-3: each entry's 3 runs over ceil(min(W, 6) / 2) tasks
     ((("booth", 2), ("sphere", 3)), 3, 7, [(3, 1)] * 3 + [(2, 1)] * 3),
     ((("booth", 2), ("sphere", 3)), 3, MAX_WORKERS, [(3, 1)] * 3 + [(2, 1)] * 3),

@@ -83,14 +83,14 @@ def test_a_serial_swarm_makes_its_box_rows_on_its_first_move_and_a_stacked_one_n
     problem = make_problem("mccormick")  # a box of different bounds per coordinate
     state = engine.initialize(params, problem, 3)
     assert state.box is None
-    engine.iterate(state, params, problem)
+    engine.iterate(state, params)
     assert state.box.shape == (2, 6, 2) and state.box.flags.c_contiguous
     assert state.box.tolist() == [np.tile(problem.lower_bounds, (6, 1)).tolist(),
                                   np.tile(problem.upper_bounds, (6, 1)).tolist()]
     assert problem.lower_bounds.tolist() == [-1.5, -3.0]
-    swarms = [(problem, engine.initialize(params, problem, seed)) for seed in range(3)]
+    swarms = [engine.initialize(params, problem, seed) for seed in range(3)]
     lockstep._Stack(params, swarms).advance()
-    assert all(state.history and state.box is None for _, state in swarms)
+    assert all(state.history and state.box is None for state in swarms)
 
 
 def test_a_problem_pickles_and_replaces_as_its_fields_before_and_after_a_run():
