@@ -56,8 +56,8 @@ MAX_IR = sys.float_info.max * IR_FLOOR / 2
 # the most uniforms one step of a run draws (n x d to scatter or move, n x rationality_rate
 # to rationalize): 40 MB of them
 MAX_DRAW = 5_000_000
-# the most runs of an entry and of a pooled task, which holds each run whole until it ends:
-# 120-250 KB a run at 5,000 iterations and d = 2 to 30 (tracemalloc), 250 MB a task at most
+# the most runs of an entry and of a pooled task, which holds each live swarm whole and the
+# results made so far: at most 120-270 KB a run at 5,000 iterations, d = 2 to 30 (tracemalloc)
 MAX_RUNS = 1_000
 IR_FLOOR_0D, INF_0D, ONE_0D, MINUS_ONE_0D, ZERO_0D = map(np.array, (IR_FLOOR, math.inf, 1, -1, 0))
 

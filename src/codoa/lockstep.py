@@ -16,10 +16,10 @@ hands every swarm back once, with numbers and arrays of its own, so that the sta
 freed.  Every swarm is checked before a stack is built, right after ``initialize`` too,
 so a collapsed one never enters a stack.  Then every run, in run order, ends in
 :func:`engine.finish`, ``run``'s own loop, which iterates on from as many iterations as
-a swarm's ``history`` holds and fast-forwards a collapsed one, so every ``RunResult`` is
-made there.  Three swarms is the least that pays: at 50 particles x 50 iterations
-(2 vCPUs), a stack of booth, beale and goldstein_price at d = 2 cost 0.95x their solo
-runs, and of booth and beale alone 1.14x.
+a swarm's ``history`` holds, fast-forwards a collapsed one and makes its ``RunResult``;
+the swarm is let go then, so a finished run is held only as its result.  Three swarms is
+the least that pays: at 50 particles x 50 iterations (2 vCPUs), a stack of booth, beale
+and goldstein_price at d = 2 cost 0.95x their solo runs, and of booth and beale 1.14x.
 
 ``plan(runs, workers)`` deals an experiment's runs into tasks of one dimension and at most
 ``MAX_RUNS`` runs, one ``run_many`` call each, for ``workers`` processes.
@@ -72,7 +72,8 @@ def run_many(params: AlgorithmParams, runs) -> list[RunResult]:
     while len(live) >= MIN_STACK and len(live[0].history) < params.max_iterations:
         _Stack(params, live).advance()
         live = [s for s in live if not engine.collapsed(s)]
-    return [engine.finish(s, params) for s in swarms]
+    del live
+    return [engine.finish(swarms.pop(0), params) for _ in runs]
 
 
 class _Stack:
@@ -100,7 +101,6 @@ class _Stack:
         self.upper = np.stack([s.problem.upper_bounds for s in states])
         self.first = np.arange(len(states)) * n  # row of each swarm's particle 0
         self.swarm_of = np.repeat(np.arange(len(states)), n)
-        self.everyone = np.ones(len(states) * n, dtype=bool)
         for r, s in enumerate(states):  # views of the stack until advance hands it back
             rows = slice(r * n, (r + 1) * n)
             s.pos, s.fit, s.ir, s.ex = self.pos[rows], self.fit[rows], self.ir[rows], self.ex[rows]
@@ -188,7 +188,7 @@ class _Stack:
         self.boost(below)
         # interactivity decay, then move all but each best holder
         self.decay()
-        others = self.everyone.copy()
+        others = np.ones(len(self.fit), dtype=bool)
         others[self.first + self.holder] = False
         self.move(others)
         self.reward()

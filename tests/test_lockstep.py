@@ -520,6 +520,40 @@ def test_every_run_ends_in_one_finish_in_run_order_with_no_stack_left(
     assert results == [run(params, problem, seed) for problem, seed in runs]
 
 
+@pytest.mark.parametrize("problem, max_iterations, at_budget, collapsed", [
+    (make_problem("rosenbrock", 3), 30, 6, 0),  # one stack of all six to the budget
+    (BOOTH, 300, 0, 4),  # four collapse and leave the stack; the last two finish off it
+], ids=["rosenbrock-3", "booth"])
+def test_a_task_lets_each_swarm_go_once_its_result_is_made(
+        problem, max_iterations, at_budget, collapsed, monkeypatch):
+    swarms = []  # weak references to every swarm initialize made
+    alive = []  # at each finish, how many of them were still alive
+    finished = []  # whether each swarm reached finish at the budget, and collapsed
+
+    def initialize(*args):
+        state = original_initialize(*args)
+        swarms.append(weakref.ref(state))
+        return state
+
+    def finish(state, params):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in swarms))
+        finished.append((len(state.history) == params.max_iterations, engine.collapsed(state)))
+        return original_finish(state, params)
+
+    original_initialize, original_finish = engine.initialize, engine.finish
+    monkeypatch.setattr(engine, "initialize", initialize)
+    monkeypatch.setattr(engine, "finish", finish)
+    params = AlgorithmParams(num_particles=10, max_iterations=max_iterations)
+    runs = [(problem, seed) for seed in range(6)]
+    results = run_many(params, runs)
+    # the k-th finish sees its own swarm and the ones still to finish, none before it
+    assert alive == [6, 5, 4, 3, 2, 1]
+    assert [sum(column) for column in zip(*finished)] == [at_budget, collapsed]
+    monkeypatch.undo()
+    assert results == [run(params, problem, seed) for problem, seed in runs]
+
+
 GRID15 = table2_grid().entries
 
 
